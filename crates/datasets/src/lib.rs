@@ -17,11 +17,15 @@
 //!   parse-cache parity suite and `bench_revisit`;
 //! - the per-domain [`BudgetPreset`] table seeding the adaptive batch
 //!   driver's first-pass parse budgets, with
-//!   [`BudgetPreset::from_stats`] to recalibrate from a prior run.
+//!   [`BudgetPreset::from_stats`] to recalibrate from a prior run;
+//! - the [`adversarial`] page family: nested tables and divs, wide
+//!   tables, long text runs and deep inline nesting, sized by argument,
+//!   for the layout engine's scaling tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adversarial;
 pub mod dataset;
 pub mod domains;
 pub mod fixtures;

@@ -56,6 +56,14 @@ fn is_scope_barrier(tag: &str) -> bool {
     )
 }
 
+/// Deepest a node may sit in the tree (the root is depth 0). Past it,
+/// new nodes attach to the open element at depth `MAX_TREE_DEPTH - 1`,
+/// as siblings, while end tags still match the elements opened — the
+/// cap Chromium's parser applies (`kMaximumHTMLParserDOMTreeDepth`).
+/// It bounds the depth every later stage walks, so a page of 100 000
+/// nested tags costs no more stack than one of 512.
+pub const MAX_TREE_DEPTH: usize = 512;
+
 /// Parses HTML source into a DOM. Lenient: never fails.
 ///
 /// ```
@@ -74,8 +82,7 @@ pub fn parse(input: &str) -> Document {
             HtmlToken::Doctype(_) | HtmlToken::Comment(_) => {}
             HtmlToken::Text(text) => {
                 if skip_depth == 0 && !text.is_empty() {
-                    let parent = stack.last().expect("root never popped").0;
-                    doc.create_text(parent, text);
+                    doc.create_text(insertion_parent(&stack), text);
                 }
             }
             HtmlToken::StartTag {
@@ -96,8 +103,7 @@ pub fn parse(input: &str) -> Document {
                     continue;
                 }
                 close_implied(&mut stack, &name);
-                let parent = stack.last().expect("root never popped").0;
-                let node = doc.create_element(parent, name.clone(), attrs);
+                let node = doc.create_element(insertion_parent(&stack), name.clone(), attrs);
                 if !is_void(&name) && !self_closing {
                     stack.push((node, name));
                 }
@@ -114,6 +120,12 @@ pub fn parse(input: &str) -> Document {
         }
     }
     doc
+}
+
+/// Where a new node goes: the innermost open element, or its ancestor
+/// at depth `MAX_TREE_DEPTH - 1` when the open elements nest deeper.
+fn insertion_parent(stack: &[(NodeId, String)]) -> NodeId {
+    stack[stack.len().min(MAX_TREE_DEPTH) - 1].0
 }
 
 /// Pops elements whose end tag is implied by the arrival of `tag`.
@@ -286,6 +298,42 @@ mod tests {
             .filter(|&c| doc.tag(c) == Some("td"))
             .collect();
         assert_eq!(cells.len(), 2);
+    }
+
+    fn depth(doc: &Document, mut node: NodeId) -> usize {
+        let mut d = 0;
+        while let Some(p) = doc.parent(node) {
+            d += 1;
+            node = p;
+        }
+        d
+    }
+
+    #[test]
+    fn tree_depth_is_capped_like_browsers() {
+        let n = MAX_TREE_DEPTH + 100;
+        let html = format!("{}x{}after", "<div>".repeat(n), "</div>".repeat(n));
+        let doc = parse(&html);
+        let deepest = doc.descendants(doc.root()).map(|id| depth(&doc, id)).max();
+        assert_eq!(deepest, Some(MAX_TREE_DEPTH));
+        // Every element is still created, in document order.
+        assert_eq!(doc.elements_by_tag(doc.root(), "div").len(), n);
+        assert_eq!(doc.text_content(doc.root()), "xafter");
+        // End tags still match what was opened: the text after them is
+        // back at the top level.
+        let after = doc.children(doc.root()).last().copied().unwrap();
+        assert_eq!(doc.text(after), Some("after"));
+    }
+
+    #[test]
+    fn pages_under_the_cap_are_unchanged_by_it() {
+        let n = MAX_TREE_DEPTH - 1;
+        let doc = parse(&format!("{}x", "<b>".repeat(n)));
+        let text = doc
+            .descendants(doc.root())
+            .find(|&id| doc.text(id).is_some())
+            .unwrap();
+        assert_eq!(depth(&doc, text), MAX_TREE_DEPTH);
     }
 
     #[test]

@@ -41,30 +41,80 @@ pub fn layout(doc: &Document) -> Layout {
 }
 
 /// Lays out a document with explicit options.
+///
+/// Runs in time linear in the document: every node is visited at most
+/// twice, once to measure a table cell's preferred width and once to
+/// place it (DESIGN.md §5).
 pub fn layout_with(doc: &Document, opts: &LayoutOptions) -> Layout {
-    let mut flow = Flow { doc, line_ctr: 0 };
-    let mut buf = Layout::sized(doc.len());
+    let mut flow = Flow::new(doc);
     let x = opts.margin;
     let width = (opts.viewport - 2 * opts.margin).max(40);
-    flow.layout_children(&mut buf, doc.children(doc.root()), x, opts.margin, width);
-    buf.finalize(doc);
-    buf
+    flow.layout_children(doc.children(doc.root()), x, opts.margin, width);
+    flow.finish()
 }
 
-/// Shared flow state: the document plus a monotone line-box counter.
+/// Width at which a table cell's preferred (no-wrap) width is measured:
+/// effectively infinite.
+const MEASURE_WIDTH: i32 = 1_000_000;
+
+/// Right and bottom edge of everything placed in one coordinate frame.
+#[derive(Clone, Copy)]
+pub(crate) struct Extent {
+    pub(crate) right: i32,
+    pub(crate) bottom: i32,
+}
+
+impl Extent {
+    /// Nothing placed yet.
+    const EMPTY: Extent = Extent {
+        right: i32::MIN,
+        bottom: i32::MIN,
+    };
+
+    fn add(&mut self, b: &BBox) {
+        self.right = self.right.max(b.right);
+        self.bottom = self.bottom.max(b.bottom);
+    }
+}
+
+/// Layout state for one [`layout_with`] call.
+///
+/// Table cell content is laid out once, in a frame of its own whose
+/// origin is the cell's content box; the cell's final offset is known
+/// only after every cell of its table has been sized, so it is recorded
+/// in `shift` and applied to the whole subtree by [`Flow::finish`] in a
+/// single top-down sweep.
 pub(crate) struct Flow<'a> {
     pub(crate) doc: &'a Document,
+    buf: Layout,
+    /// Monotone line-box counter. Only the order of ids is meaningful.
     line_ctr: u32,
+    /// While set, placements only grow `ext`: a cell's preferred width
+    /// is being measured and nothing is written to `buf`.
+    pub(crate) measuring: bool,
+    /// Extent of what has been placed in the current frame.
+    ext: Extent,
+    /// Memoized preferred content width per table cell (`-1`: not yet
+    /// measured). Allocated on the first table.
+    pref: Vec<i32>,
+    /// Offset of each table cell's content frame within its parent's
+    /// frame. Allocated on the first table.
+    shift: Vec<(i32, i32)>,
+    /// Pooled scratch: inline items awaiting line placement, the current
+    /// line's `(item, left)` pairs, and the inline-subtree walk stack.
+    items: Vec<Item<'a>>,
+    line: Vec<(usize, i32)>,
+    walk: Vec<NodeId>,
 }
 
 /// One atomic participant in inline flow.
-enum Item {
-    Word { node: NodeId, text: String, w: i32 },
+enum Item<'a> {
+    Word { node: NodeId, text: &'a str, w: i32 },
     Widget { node: NodeId, w: i32, h: i32 },
     Break,
 }
 
-impl Item {
+impl Item<'_> {
     fn size(&self) -> (i32, i32) {
         match self {
             Item::Word { w, .. } => (*w, LINE_H),
@@ -75,28 +125,121 @@ impl Item {
 }
 
 impl<'a> Flow<'a> {
+    fn new(doc: &'a Document) -> Self {
+        Flow {
+            doc,
+            buf: Layout::sized(doc.len()),
+            line_ctr: 0,
+            measuring: false,
+            ext: Extent::EMPTY,
+            pref: Vec::new(),
+            shift: Vec::new(),
+            items: Vec::new(),
+            line: Vec::new(),
+            walk: Vec::new(),
+        }
+    }
+
+    /// Counts one node visit (see [`Layout::visits`]).
+    pub(crate) fn visit(&mut self) {
+        self.buf.visits += 1;
+    }
+
+    /// Places a node's box in the current frame.
+    pub(crate) fn place(&mut self, node: NodeId, bbox: BBox) {
+        self.ext.add(&bbox);
+        if !self.measuring {
+            self.buf.set_bbox(node, bbox);
+        }
+    }
+
+    fn place_word(&mut self, node: NodeId, text: &str, bbox: BBox) {
+        self.ext.add(&bbox);
+        if !self.measuring {
+            push_fragment(&mut self.buf, node, text, bbox, self.line_ctr);
+        }
+    }
+
+    /// Preferred (no-wrap) content width of a table cell: the right edge
+    /// of its content laid out at an effectively infinite width. Tables
+    /// never shrink a column below it, so it depends on the cell alone
+    /// and is measured once per layout.
+    pub(crate) fn pref_width(&mut self, cell: NodeId) -> i32 {
+        if self.pref.is_empty() {
+            self.pref = vec![-1; self.doc.len()];
+        }
+        let memo = self.pref[cell.index()];
+        if memo >= 0 {
+            return memo;
+        }
+        let outer = (self.measuring, self.ext);
+        self.measuring = true;
+        self.ext = Extent::EMPTY;
+        self.layout_children(self.doc.children(cell), 0, 0, MEASURE_WIDTH);
+        let width = self.ext.right.max(0);
+        (self.measuring, self.ext) = outer;
+        self.pref[cell.index()] = width;
+        width
+    }
+
+    /// Lays out a table cell's content at `width` in the cell's own
+    /// frame. Returns the flow y below the content and the frame's
+    /// extent; the content height is the larger of the two bottoms.
+    pub(crate) fn layout_cell(&mut self, cell: NodeId, width: i32) -> (i32, Extent) {
+        let outer = std::mem::replace(&mut self.ext, Extent::EMPTY);
+        let end = self.layout_children(self.doc.children(cell), 0, 0, width);
+        (end, std::mem::replace(&mut self.ext, outer))
+    }
+
+    /// Moves a cell's content frame (extent `content`) to `(dx, dy)`
+    /// within the current frame.
+    pub(crate) fn shift_cell(&mut self, cell: NodeId, dx: i32, dy: i32, content: Extent) {
+        if self.shift.is_empty() {
+            self.shift = vec![(0, 0); self.doc.len()];
+        }
+        self.shift[cell.index()] = (dx, dy);
+        if content.right != i32::MIN {
+            self.ext.right = self.ext.right.max(content.right + dx);
+            self.ext.bottom = self.ext.bottom.max(content.bottom + dy);
+        }
+    }
+
+    /// Resolves cell frames to page coordinates — a node's offset is
+    /// its parent's offset plus the parent's own cell shift, and parents
+    /// precede children in the arena — then unions container boxes.
+    fn finish(mut self) -> Layout {
+        let doc = self.doc;
+        if !self.shift.is_empty() {
+            for idx in 1..doc.len() {
+                let id = NodeId(idx as u32);
+                let parent = doc.parent(id).expect("only the root has no parent");
+                let (dx, dy) = self.shift[parent.index()];
+                if dx == 0 && dy == 0 {
+                    continue;
+                }
+                let own = &mut self.shift[idx];
+                *own = (own.0 + dx, own.1 + dy);
+                self.buf.translate_node(id, dx, dy);
+            }
+        }
+        self.buf.finalize(doc);
+        self.buf
+    }
+
     /// Lays out a sequence of sibling nodes in normal flow starting at
     /// `(x, y)` within `width`. Returns the y coordinate below the
     /// content.
-    pub(crate) fn layout_children(
-        &mut self,
-        buf: &mut Layout,
-        children: &[NodeId],
-        x: i32,
-        y: i32,
-        width: i32,
-    ) -> i32 {
+    fn layout_children(&mut self, children: &[NodeId], x: i32, y: i32, width: i32) -> i32 {
         let mut cur_y = y;
-        let mut items: Vec<Item> = Vec::new();
         for &child in children {
             if self.is_inline_level(child) {
-                self.collect_inline(child, &mut items);
+                self.collect_inline(child);
             } else {
-                cur_y = self.flush_lines(buf, &mut items, x, cur_y, width);
-                cur_y = self.layout_block(buf, child, x, cur_y, width);
+                cur_y = self.flush_lines(x, cur_y, width);
+                cur_y = self.layout_block(child, x, cur_y, width);
             }
         }
-        self.flush_lines(buf, &mut items, x, cur_y, width)
+        self.flush_lines(x, cur_y, width)
     }
 
     fn is_inline_level(&self, node: NodeId) -> bool {
@@ -110,105 +253,74 @@ impl<'a> Flow<'a> {
         }
     }
 
-    /// Gathers inline items from an inline-level subtree.
-    fn collect_inline(&mut self, node: NodeId, items: &mut Vec<Item>) {
-        match &self.doc.node(node).data {
-            NodeData::Text(text) => {
-                for word in words(text) {
-                    items.push(Item::Word {
-                        node,
-                        text: word.to_string(),
-                        w: text_width(word),
-                    });
-                }
-            }
-            NodeData::Element { tag, .. } => {
-                if is_line_break(tag) {
-                    items.push(Item::Break);
-                    return;
-                }
-                match display_of(tag) {
-                    Display::Hidden => {}
-                    Display::InlineWidget => {
-                        if let Some((w, h)) = intrinsic_size(self.doc, node) {
-                            items.push(Item::Widget { node, w, h });
-                        }
+    /// Gathers inline items from an inline-level subtree, in document
+    /// order. Iterative, so inline nesting depth costs no stack.
+    fn collect_inline(&mut self, node: NodeId) {
+        let doc = self.doc;
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.push(node);
+        while let Some(node) = walk.pop() {
+            self.visit();
+            match &doc.node(node).data {
+                NodeData::Text(text) => {
+                    for word in words(text) {
+                        self.items.push(Item::Word {
+                            node,
+                            text: word,
+                            w: text_width(word),
+                        });
                     }
-                    _ => {
+                }
+                NodeData::Element { tag, .. } => {
+                    if is_line_break(tag) {
+                        self.items.push(Item::Break);
+                        continue;
+                    }
+                    match display_of(tag) {
+                        Display::Hidden => {}
+                        Display::InlineWidget => {
+                            if let Some((w, h)) = intrinsic_size(doc, node) {
+                                self.items.push(Item::Widget { node, w, h });
+                            }
+                        }
                         // Inline element (or a block illegally nested in
                         // inline context — flattened, see DESIGN.md):
-                        // recurse; its own bbox is unioned in finalize().
-                        let children: Vec<NodeId> = self.doc.children(node).to_vec();
-                        for c in children {
-                            self.collect_inline(c, items);
-                        }
+                        // descend; its own bbox is unioned in finalize().
+                        _ => walk.extend(doc.children(node).iter().rev()),
                     }
                 }
+                NodeData::Document => {}
             }
-            NodeData::Document => {}
         }
+        self.walk = walk;
     }
 
     /// Places accumulated inline items into line boxes; returns the new
     /// flow y. Items are separated by single spaces and bottom-aligned
     /// within each line, wrapping at `x + width`.
-    fn flush_lines(
-        &mut self,
-        buf: &mut Layout,
-        items: &mut Vec<Item>,
-        x: i32,
-        y: i32,
-        width: i32,
-    ) -> i32 {
-        if items.is_empty() {
+    fn flush_lines(&mut self, x: i32, y: i32, width: i32) -> i32 {
+        if self.items.is_empty() {
             return y;
         }
+        let items = std::mem::take(&mut self.items);
+        let mut line = std::mem::take(&mut self.line);
         let right_edge = x + width;
         let mut cur_y = y;
-        let mut line: Vec<(usize, i32)> = Vec::new(); // (item idx, left x)
         let mut cur_x = x;
-        let drained: Vec<Item> = std::mem::take(items);
-
-        let mut place_line =
-            |line: &mut Vec<(usize, i32)>, cur_y: &mut i32, this: &mut Flow<'a>| {
-                let line_h = line
-                    .iter()
-                    .map(|&(i, _)| drained_size(&drained, i).1)
-                    .max()
-                    .unwrap_or(0)
-                    .max(LINE_H);
-                for &(idx, left) in line.iter() {
-                    let (w, h) = drained_size(&drained, idx);
-                    let top = *cur_y + line_h - h;
-                    let bbox = BBox::at(left, top, w, h);
-                    match &drained[idx] {
-                        Item::Word { node, text, .. } => {
-                            push_fragment(buf, *node, text, bbox, this.line_ctr);
-                        }
-                        Item::Widget { node, .. } => buf.set_bbox(*node, bbox),
-                        Item::Break => {}
-                    }
-                }
-                line.clear();
-                *cur_y += line_h;
-                this.line_ctr += 1;
-            };
-
-        for (idx, item) in drained.iter().enumerate() {
+        for (idx, item) in items.iter().enumerate() {
             if matches!(item, Item::Break) {
                 if line.is_empty() {
                     cur_y += LINE_H; // blank line
                     self.line_ctr += 1;
                 } else {
-                    place_line(&mut line, &mut cur_y, self);
+                    cur_y = self.place_line(&items, &mut line, cur_y);
                 }
                 cur_x = x;
                 continue;
             }
             let (w, _) = item.size();
-            let lead = if line.is_empty() { 0 } else { SPACE_W };
-            if !line.is_empty() && cur_x + lead + w > right_edge {
-                place_line(&mut line, &mut cur_y, self);
+            if !line.is_empty() && cur_x + SPACE_W + w > right_edge {
+                cur_y = self.place_line(&items, &mut line, cur_y);
                 cur_x = x;
             }
             let lead = if line.is_empty() { 0 } else { SPACE_W };
@@ -216,71 +328,63 @@ impl<'a> Flow<'a> {
             cur_x += lead + w;
         }
         if !line.is_empty() {
-            place_line(&mut line, &mut cur_y, self);
+            cur_y = self.place_line(&items, &mut line, cur_y);
         }
+        self.items = items;
+        self.items.clear();
+        self.line = line;
         cur_y
     }
 
+    /// Places one line box of `(item, left)` pairs at `y`, bottom-aligned,
+    /// and empties `line`; returns the y below the line.
+    fn place_line(&mut self, items: &[Item<'a>], line: &mut Vec<(usize, i32)>, y: i32) -> i32 {
+        let line_h = line
+            .iter()
+            .map(|&(i, _)| items[i].size().1)
+            .max()
+            .unwrap_or(0)
+            .max(LINE_H);
+        for &(idx, left) in line.iter() {
+            let (w, h) = items[idx].size();
+            let bbox = BBox::at(left, y + line_h - h, w, h);
+            match items[idx] {
+                Item::Word { node, text, .. } => self.place_word(node, text, bbox),
+                Item::Widget { node, .. } => self.place(node, bbox),
+                Item::Break => {}
+            }
+        }
+        line.clear();
+        self.line_ctr += 1;
+        y + line_h
+    }
+
     /// Lays out one block-level element; returns the flow y below it.
-    pub(crate) fn layout_block(
-        &mut self,
-        buf: &mut Layout,
-        node: NodeId,
-        x: i32,
-        y: i32,
-        width: i32,
-    ) -> i32 {
-        let tag = match self.doc.tag(node) {
-            Some(t) => t.to_string(),
-            None => return y, // stray text handled by caller classification
+    pub(crate) fn layout_block(&mut self, node: NodeId, x: i32, y: i32, width: i32) -> i32 {
+        self.visit();
+        let doc = self.doc;
+        let Some(tag) = doc.tag(node) else {
+            return y; // stray text handled by caller classification
         };
-        if display_of(&tag) == Display::Table {
-            return table::layout_table(self, buf, node, x, y, width);
+        if display_of(tag) == Display::Table {
+            return table::layout_table(self, node, x, y, width);
         }
         if tag == "hr" {
             let m = block_margin("hr");
-            buf.set_bbox(node, BBox::at(x, y + m, width, 2));
+            self.place(node, BBox::at(x, y + m, width, 2));
             return y + 2 * m + 2;
         }
-        let m = block_margin(&tag);
-        let (cx, cw) = if matches!(tag.as_str(), "ul" | "ol" | "dl") {
+        let m = block_margin(tag);
+        let (cx, cw) = if matches!(tag, "ul" | "ol" | "dl") {
             (x + LIST_INDENT, (width - LIST_INDENT).max(40))
         } else {
             (x, width)
         };
         let y0 = y + m;
-        let children: Vec<NodeId> = self.doc.children(node).to_vec();
-        let end = self.layout_children(buf, &children, cx, y0, cw);
-        buf.set_bbox(node, BBox::new(x, y0, x + width, end.max(y0)));
+        let end = self.layout_children(doc.children(node), cx, y0, cw);
+        self.place(node, BBox::new(x, y0, x + width, end.max(y0)));
         end.max(y0) + m
     }
-
-    /// Preferred (no-wrap) content width of a subtree, via a scratch
-    /// layout at an effectively infinite viewport.
-    pub(crate) fn measure_pref_width(&mut self, children: &[NodeId]) -> i32 {
-        let mut scratch = Layout::sized(self.doc.len());
-        self.layout_children(&mut scratch, children, 0, 0, 1_000_000);
-        let mut right = 0;
-        for &c in children {
-            right = right.max(scratch.subtree_right(self.doc, c));
-        }
-        right
-    }
-
-    /// Content height of a subtree when laid out at `width`.
-    pub(crate) fn measure_height(&mut self, children: &[NodeId], width: i32) -> i32 {
-        let mut scratch = Layout::sized(self.doc.len());
-        let end = self.layout_children(&mut scratch, children, 0, 0, width);
-        let mut bottom = end;
-        for &c in children {
-            bottom = bottom.max(scratch.subtree_bottom(self.doc, c));
-        }
-        bottom
-    }
-}
-
-fn drained_size(items: &[Item], idx: usize) -> (i32, i32) {
-    items[idx].size()
 }
 
 /// Appends a word to a node's fragment list, merging with the previous

@@ -24,6 +24,7 @@ pub struct Fragment {
 pub struct Layout {
     pub(crate) boxes: Vec<Option<BBox>>,
     pub(crate) fragments: Vec<Vec<Fragment>>,
+    pub(crate) visits: u64,
 }
 
 impl Layout {
@@ -31,7 +32,17 @@ impl Layout {
         Layout {
             boxes: vec![None; n],
             fragments: vec![Vec::new(); n],
+            visits: 0,
         }
+    }
+
+    /// How many times the engine entered a node to produce this layout:
+    /// a deterministic work counter. Each node is entered at most twice
+    /// (once while a table cell's preferred width is measured, once when
+    /// placed), plus once per table cell and row each time their table
+    /// is sized, so the count grows linearly with the document.
+    pub fn visits(&self) -> u64 {
+        self.visits
     }
 
     /// Bounding box of a node, or `None` when the node is not rendered
@@ -50,18 +61,13 @@ impl Layout {
         self.boxes[id.index()] = Some(bbox);
     }
 
-    /// Shifts every box and fragment in the subtree rooted at `root`.
-    pub(crate) fn translate_subtree(&mut self, doc: &Document, root: NodeId, dx: i32, dy: i32) {
-        if dx == 0 && dy == 0 {
-            return;
+    /// Shifts one node's box and fragments.
+    pub(crate) fn translate_node(&mut self, id: NodeId, dx: i32, dy: i32) {
+        if let Some(b) = &mut self.boxes[id.index()] {
+            *b = b.translated(dx, dy);
         }
-        for n in doc.descendants(root) {
-            if let Some(b) = &mut self.boxes[n.index()] {
-                *b = b.translated(dx, dy);
-            }
-            for f in &mut self.fragments[n.index()] {
-                f.bbox = f.bbox.translated(dx, dy);
-            }
+        for f in &mut self.fragments[id.index()] {
+            f.bbox = f.bbox.translated(dx, dy);
         }
     }
 
@@ -88,34 +94,6 @@ impl Layout {
             self.boxes[idx] = acc;
         }
     }
-
-    /// Widest right edge over the subtree — used for table measurement.
-    pub(crate) fn subtree_right(&self, doc: &Document, root: NodeId) -> i32 {
-        let mut right = 0;
-        for n in doc.descendants(root) {
-            if let Some(b) = self.boxes[n.index()] {
-                right = right.max(b.right);
-            }
-            for f in &self.fragments[n.index()] {
-                right = right.max(f.bbox.right);
-            }
-        }
-        right
-    }
-
-    /// Lowest bottom edge over the subtree — used for row heights.
-    pub(crate) fn subtree_bottom(&self, doc: &Document, root: NodeId) -> i32 {
-        let mut bottom = 0;
-        for n in doc.descendants(root) {
-            if let Some(b) = self.boxes[n.index()] {
-                bottom = bottom.max(b.bottom);
-            }
-            for f in &self.fragments[n.index()] {
-                bottom = bottom.max(f.bbox.bottom);
-            }
-        }
-        bottom
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +102,7 @@ mod tests {
     use metaform_html::parse;
 
     #[test]
-    fn translate_shifts_boxes_and_fragments() {
+    fn translate_shifts_box_and_fragments() {
         let doc = parse("<b>x</b>");
         let mut lay = Layout::sized(doc.len());
         let b = doc.elements_by_tag(doc.root(), "b")[0];
@@ -135,7 +113,8 @@ mod tests {
             bbox: BBox::at(0, 0, 7, 16),
             line: 0,
         });
-        lay.translate_subtree(&doc, doc.root(), 5, 9);
+        lay.translate_node(b, 5, 9);
+        lay.translate_node(text, 5, 9);
         assert_eq!(lay.bbox(b), Some(BBox::at(5, 9, 10, 10)));
         assert_eq!(lay.fragments(text)[0].bbox, BBox::at(5, 9, 7, 16));
     }

@@ -1,9 +1,15 @@
 //! Table layout: auto column sizing, colspan/rowspan, cell padding and
 //! spacing, middle vertical alignment — the workhorse of 2004-era form
 //! design.
+//!
+//! Every cell's content is measured once and laid out once per layout
+//! (DESIGN.md §5): columns take the cells' memoized preferred widths
+//! and never shrink, so each cell's content width is known before any
+//! content is placed; the content is then laid out in the cell's own
+//! frame, which yields its height, and moved into place when the row
+//! heights are known.
 
 use crate::engine::Flow;
-use crate::output::Layout;
 use crate::style::{block_margin, CELL_PADDING, CELL_SPACING};
 use metaform_core::BBox;
 use metaform_html::{Document, NodeId};
@@ -18,33 +24,27 @@ struct Cell {
 }
 
 /// Lays out `<table>`; returns the flow y below it.
-pub(crate) fn layout_table(
-    flow: &mut Flow<'_>,
-    buf: &mut Layout,
-    table: NodeId,
-    x: i32,
-    y: i32,
-    width: i32,
-) -> i32 {
+///
+/// While the flow is measuring, only the table's right edge matters:
+/// the table box is placed and its cells are left alone — every row and
+/// cell lies inside the table box, and cell content laid out at no less
+/// than its preferred width stays inside its cell.
+pub(crate) fn layout_table(flow: &mut Flow<'_>, table: NodeId, x: i32, y: i32, width: i32) -> i32 {
     let m = block_margin("table");
     let mut cur_y = y + m;
     let doc = flow.doc;
 
     // Captions render as blocks above the grid.
-    let captions: Vec<NodeId> = doc
-        .children(table)
-        .iter()
-        .copied()
-        .filter(|&c| doc.tag(c) == Some("caption"))
-        .collect();
-    for cap in captions {
-        cur_y = flow.layout_block(buf, cap, x, cur_y, width);
+    for &cap in doc.children(table) {
+        if doc.tag(cap) == Some("caption") {
+            cur_y = flow.layout_block(cap, x, cur_y, width);
+        }
     }
 
     let rows = collect_rows(doc, table);
     let cells = build_grid(doc, &rows);
     if cells.is_empty() {
-        buf.set_bbox(table, BBox::new(x, cur_y, x, cur_y));
+        flow.place(table, BBox::new(x, cur_y, x, cur_y));
         return cur_y + m;
     }
     let ncols = cells.iter().map(|c| c.col + c.colspan).max().unwrap_or(1);
@@ -52,44 +52,48 @@ pub(crate) fn layout_table(
 
     // Pass 1: preferred column widths.
     let mut col_w = vec![0i32; ncols];
-    let mut pref = Vec::with_capacity(cells.len());
     for cell in &cells {
-        let children: Vec<NodeId> = doc.children(cell.node).to_vec();
-        let p = flow.measure_pref_width(&children) + 2 * CELL_PADDING;
-        pref.push(p);
+        flow.visit();
+        let p = flow.pref_width(cell.node) + 2 * CELL_PADDING;
         if cell.colspan == 1 {
             col_w[cell.col] = col_w[cell.col].max(p);
         }
     }
     // Spanning cells: distribute any deficit across covered columns.
-    for (cell, &p) in cells.iter().zip(&pref) {
-        if cell.colspan > 1 {
-            let covered = cell.col..(cell.col + cell.colspan).min(ncols);
-            let have: i32 = col_w[covered.clone()].iter().sum::<i32>()
-                + (cell.colspan as i32 - 1) * CELL_SPACING;
-            if p > have {
-                let deficit = p - have;
-                let n = covered.len() as i32;
-                for (k, c) in covered.enumerate() {
-                    col_w[c] += deficit / n + i32::from((k as i32) < deficit % n);
-                }
+    for cell in cells.iter().filter(|c| c.colspan > 1) {
+        let p = flow.pref_width(cell.node) + 2 * CELL_PADDING;
+        let covered = cell.col..(cell.col + cell.colspan).min(ncols);
+        let have: i32 =
+            col_w[covered.clone()].iter().sum::<i32>() + (cell.colspan as i32 - 1) * CELL_SPACING;
+        if p > have {
+            let deficit = p - have;
+            let n = covered.len() as i32;
+            for (k, c) in covered.enumerate() {
+                col_w[c] += deficit / n + i32::from((k as i32) < deficit % n);
             }
         }
     }
+    let table_w: i32 = col_w.iter().sum::<i32>() + (ncols as i32 + 1) * CELL_SPACING;
+    if flow.measuring {
+        flow.place(table, BBox::new(x, cur_y, x + table_w, cur_y));
+        return cur_y + m;
+    }
 
-    // Pass 2: row heights from content laid at final widths.
+    // Pass 2: lay out each cell's content at its final width, in the
+    // cell's own frame; row heights follow from the content heights.
     let mut row_h = vec![0i32; nrows];
-    let mut content_h = Vec::with_capacity(cells.len());
+    let mut content = Vec::with_capacity(cells.len());
     for cell in &cells {
-        let w = span_width(&col_w, cell) - 2 * CELL_PADDING;
-        let children: Vec<NodeId> = doc.children(cell.node).to_vec();
-        let h = flow.measure_height(&children, w.max(1));
-        content_h.push(h);
+        let w = (span_width(&col_w, cell) - 2 * CELL_PADDING).max(1);
+        let (end, ext) = flow.layout_cell(cell.node, w);
+        debug_assert!(ext.right <= w, "cell content overflows its width");
+        let h = end.max(ext.bottom);
+        content.push((h, ext));
         if cell.rowspan == 1 {
             row_h[cell.row] = row_h[cell.row].max(h + 2 * CELL_PADDING);
         }
     }
-    for (cell, &h) in cells.iter().zip(&content_h) {
+    for (cell, &(h, _)) in cells.iter().zip(&content) {
         if cell.rowspan > 1 {
             let covered = cell.row..(cell.row + cell.rowspan).min(nrows);
             let have: i32 = row_h[covered.clone()].iter().sum::<i32>()
@@ -107,55 +111,42 @@ pub(crate) fn layout_table(
     let col_x: Vec<i32> = prefix_origins(x, &col_w);
     let row_y: Vec<i32> = prefix_origins(cur_y, &row_h);
 
-    // Pass 3: place content.
-    for ((cell, &h), &p) in cells.iter().zip(&content_h).zip(&pref) {
-        let _ = p;
+    // Pass 3: move each cell's content frame into place.
+    for (cell, &(h, ext)) in cells.iter().zip(&content) {
         let cx = col_x[cell.col];
         let cy = row_y[cell.row];
         let rect_w = span_width(&col_w, cell);
         let rect_h = span_height(&row_h, cell);
-        let inner_w = (rect_w - 2 * CELL_PADDING).max(1);
-        let children: Vec<NodeId> = doc.children(cell.node).to_vec();
-        flow.layout_children(
-            buf,
-            &children,
-            cx + CELL_PADDING,
-            cy + CELL_PADDING,
-            inner_w,
-        );
         // Vertical alignment: HTML defaults to middle; `valign` on the
         // cell (or its row) overrides, as era markup commonly did for
         // label columns.
         let free = rect_h - 2 * CELL_PADDING - h;
-        if free > 1 {
+        let dy = if free > 1 {
             let valign = doc
                 .attr(cell.node, "valign")
-                .or_else(|| doc.parent(cell.node).and_then(|r| doc.attr(r, "valign")))
-                .map(str::to_ascii_lowercase);
-            let dy = match valign.as_deref() {
-                Some("top") => 0,
-                Some("bottom") => free,
+                .or_else(|| doc.parent(cell.node).and_then(|r| doc.attr(r, "valign")));
+            match valign {
+                Some(v) if v.eq_ignore_ascii_case("top") => 0,
+                Some(v) if v.eq_ignore_ascii_case("bottom") => free,
                 _ => free / 2,
-            };
-            if dy != 0 {
-                for &c in &children {
-                    buf.translate_subtree(doc, c, 0, dy);
-                }
             }
-        }
-        buf.set_bbox(cell.node, BBox::new(cx, cy, cx + rect_w, cy + rect_h));
+        } else {
+            0
+        };
+        flow.shift_cell(cell.node, cx + CELL_PADDING, cy + CELL_PADDING + dy, ext);
+        flow.place(cell.node, BBox::new(cx, cy, cx + rect_w, cy + rect_h));
     }
 
     // Row, section, and table boxes.
-    let table_w: i32 = col_w.iter().sum::<i32>() + (ncols as i32 + 1) * CELL_SPACING;
     for (r, &row) in rows.iter().enumerate() {
-        buf.set_bbox(
+        flow.visit();
+        flow.place(
             row,
             BBox::new(x, row_y[r], x + table_w, row_y[r] + row_h[r]),
         );
     }
     let bottom = row_y[nrows - 1] + row_h[nrows - 1] + CELL_SPACING;
-    buf.set_bbox(table, BBox::new(x, cur_y, x + table_w, bottom));
+    flow.place(table, BBox::new(x, cur_y, x + table_w, bottom));
     bottom + m
 }
 

@@ -55,6 +55,13 @@ test -z "${METAFORM_BLESS:-}"
 cargo test -q --test induction
 git diff --quiet -- tests/golden/induction_rounds.txt
 
+echo "==> cargo test -q --test layout_golden (layout digests vs the blessed file)"
+# Same rule as the induction trajectory: compare, never re-bless, and
+# treat a blessed-but-uncommitted digest file as drift.
+test -z "${METAFORM_BLESS:-}"
+cargo test -q --test layout_golden
+git diff --quiet -- tests/golden/layout_digests.txt
+
 echo "==> induction construction gate (induced productions enter only via Grammar::compile)"
 # CompiledGrammar::build is the private plumbing of Grammar::compile —
 # no other module may mint a parse-ready grammar (mirrors the
