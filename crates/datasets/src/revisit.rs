@@ -2,8 +2,7 @@
 //! survey corpus, modelling a crawler re-fetching a page that changed
 //! slightly since the last visit.
 //!
-//! Three mutation families cover the edit shapes the parse cache's
-//! delta tier must survive:
+//! Three mutation families cover the common edit shapes:
 //!
 //! - **label edit** — one attribute label reworded (token text
 //!   changes, structure unchanged);
@@ -14,9 +13,9 @@
 //!
 //! Every mutator is pure string surgery on the page HTML — no
 //! randomness — so a scenario list is reproducible across runs. The
-//! `cache_parity` suite re-extracts each mutated page cold and via the
-//! cache and requires byte-identical reports; `bench_revisit` times
-//! the same scenarios.
+//! `cache_parity` suite re-extracts each mutated page cold and via a
+//! cache primed with the original, and requires a miss with a
+//! byte-identical report.
 
 /// Which family a scenario's edit belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,8 +119,8 @@ pub fn bbox_jitter(html: &str) -> Option<String> {
 }
 
 /// Every applicable mutation of every [`crate::survey_corpus`] page,
-/// in corpus order — the revisit workload for the parity suite and
-/// `bench_revisit`. Deterministic: same list every call.
+/// in corpus order — the revisit workload for the parity suite.
+/// Deterministic: same list every call.
 pub fn revisit_scenarios() -> Vec<RevisitScenario> {
     let mut out = Vec::new();
     for (name, html) in crate::survey_corpus() {

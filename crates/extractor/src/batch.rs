@@ -106,9 +106,6 @@ pub struct BatchStats {
     /// parsing ([`Provenance::CacheHit`]). Always 0 without an
     /// attached [`crate::ParseCache`].
     pub cache_hits: usize,
-    /// Pages parsed seeded from a similar cached visit
-    /// ([`Provenance::DeltaReparse`]). Always 0 without a cache.
-    pub cache_delta: usize,
     /// Pages that consulted the cache but parsed cold (grammar path
     /// with a cache attached). Always 0 without a cache.
     pub cache_misses: usize,
@@ -126,7 +123,7 @@ impl BatchStats {
     /// One-line summary for experiment tables.
     pub fn summary(&self) -> String {
         format!(
-            "pages={} workers={} tokens={} instances={} invalidated={} trees={} schedules_built={} panicked={} truncated={} timed_out={} empty={} cancelled={} degraded={} salvaged={} retried={} recovered={} cache_hits={} cache_delta={} cache_misses={} time={:?}",
+            "pages={} workers={} tokens={} instances={} invalidated={} trees={} schedules_built={} panicked={} truncated={} timed_out={} empty={} cancelled={} degraded={} salvaged={} retried={} recovered={} cache_hits={} cache_misses={} time={:?}",
             self.pages,
             self.workers,
             self.tokens,
@@ -144,7 +141,6 @@ impl BatchStats {
             self.retried,
             self.recovered,
             self.cache_hits,
-            self.cache_delta,
             self.cache_misses,
             self.elapsed
         )
@@ -505,7 +501,6 @@ impl FormExtractor {
                 Provenance::BaselineFallback => stats.degraded += 1,
                 Provenance::PartialSalvage => stats.salvaged += 1,
                 Provenance::CacheHit => stats.cache_hits += 1,
-                Provenance::DeltaReparse => stats.cache_delta += 1,
                 Provenance::Grammar if cached => stats.cache_misses += 1,
                 Provenance::Grammar => {}
             }
@@ -528,7 +523,6 @@ impl FormExtractor {
         match result {
             Ok(ex) => match ex.via {
                 Provenance::CacheHit => Some(CacheOutcome::Hit),
-                Provenance::DeltaReparse => Some(CacheOutcome::Delta),
                 Provenance::Grammar => Some(CacheOutcome::Miss),
                 Provenance::BaselineFallback | Provenance::PartialSalvage => None,
             },
@@ -623,6 +617,7 @@ impl PageStory {
 mod tests {
     use super::*;
     use crate::pipeline::tests::QAM;
+    use crate::pipeline::{Fault, FaultPlan};
 
     fn pages() -> Vec<String> {
         (0..12)
@@ -691,7 +686,7 @@ mod tests {
         let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
         let extractor = FormExtractor::new()
             .worker_threads(4)
-            .inject_panic_marker("POISON");
+            .fault_plan(FaultPlan::new().with(5, Fault::Panic));
         let results = extractor.extract_batch_results(&refs);
         assert!(matches!(
             &results[5],
@@ -740,10 +735,7 @@ mod tests {
         // Without a cache, the counters stay zero.
         let plain = FormExtractor::new().worker_threads(2);
         let (_, stats) = plain.extract_batch_stats(&refs);
-        assert_eq!(
-            (stats.cache_hits, stats.cache_delta, stats.cache_misses),
-            (0, 0, 0)
-        );
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
         // With one: the first pass misses everywhere, the revisit pass
         // hits everywhere, and the reports agree byte for byte.
         let extractor = FormExtractor::new()
@@ -751,10 +743,10 @@ mod tests {
             .parse_cache(LruParseCache::shared());
         let (first, s1) = extractor.extract_batch_stats(&refs);
         assert_eq!(s1.cache_misses, refs.len());
-        assert_eq!((s1.cache_hits, s1.cache_delta), (0, 0));
+        assert_eq!(s1.cache_hits, 0);
         let (second, s2) = extractor.extract_batch_stats(&refs);
         assert_eq!(s2.cache_hits, refs.len());
-        assert_eq!((s2.cache_delta, s2.cache_misses), (0, 0));
+        assert_eq!(s2.cache_misses, 0);
         assert!(s2.summary().contains("cache_hits="));
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.report.to_string(), b.report.to_string());

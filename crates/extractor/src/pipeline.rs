@@ -12,8 +12,7 @@ use metaform_grammar::{global_compiled, CompiledGrammar, Grammar, GrammarError, 
 use metaform_html::parse as parse_html;
 use metaform_layout::{layout_with, LayoutOptions};
 use metaform_parser::{
-    merge, salvage_merge, BudgetOutcome, CancelToken, ChartSnapshot, ParseSession, ParseStats,
-    ParserOptions,
+    merge, salvage_merge, BudgetOutcome, CancelToken, ParseSession, ParseStats, ParserOptions,
 };
 use metaform_tokenizer::tokenize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,12 +36,6 @@ pub enum Provenance {
     /// The report was replayed from an attached [`ParseCache`] — the
     /// page's tokens matched a prior visit exactly, so no parse ran.
     CacheHit,
-    /// The full pipeline ran, but the parse was seeded from a similar
-    /// cached visit's chart snapshot
-    /// ([`metaform_parser::ParseSession::parse_seeded`]) instead of
-    /// starting cold. Byte-identical to [`Provenance::Grammar`] output
-    /// by the cache-parity invariant.
-    DeltaReparse,
     /// The parse hit a budget (or was cancelled mid-flight), but the
     /// maximized partial trees it had already built interpret the form
     /// better than the proximity baseline would, so the partial
@@ -252,8 +245,6 @@ pub struct FormExtractor {
     layout: LayoutOptions,
     parser: ParserOptions,
     workers: Option<usize>,
-    fault_marker: Option<String>,
-    cancel_marker: Option<String>,
     fault_plan: Option<Arc<FaultPlan>>,
     cache: Option<Arc<dyn ParseCache>>,
 }
@@ -325,8 +316,6 @@ impl FormExtractor {
             layout: LayoutOptions::default(),
             parser: ParserOptions::default(),
             workers: None,
-            fault_marker: None,
-            cancel_marker: None,
             fault_plan: None,
             cache: None,
         }
@@ -382,16 +371,6 @@ impl FormExtractor {
         self
     }
 
-    /// Fault injection for exercising the isolation path (builder
-    /// style): any page whose HTML contains `marker` panics inside the
-    /// pipeline, exactly where a real defect would. Used by the
-    /// panic-isolation tests and available for chaos-style batch
-    /// testing; production extractors simply never set it.
-    pub fn inject_panic_marker(mut self, marker: impl Into<String>) -> Self {
-        self.fault_marker = Some(marker.into());
-        self
-    }
-
     /// Attaches a batch-level cancel token (builder style). Every
     /// parse run by this extractor polls the token at the parser's
     /// sampled budget check; calling [`CancelToken::cancel`] on any
@@ -403,36 +382,24 @@ impl FormExtractor {
         self
     }
 
-    /// Fault injection for exercising the cancellation path (builder
-    /// style): any page whose HTML contains `marker` fires this
-    /// extractor's cancel token just before its parse starts, giving
-    /// tests a deterministic mid-batch cancellation point. No-op
-    /// unless a [`FormExtractor::cancel_token`] is attached;
-    /// production extractors simply never set it.
-    pub fn inject_cancel_marker(mut self, marker: impl Into<String>) -> Self {
-        self.cancel_marker = Some(marker.into());
-        self
-    }
-
     /// Attaches a deterministic fault plan (builder style): pages at
     /// the planned batch indices panic, stall past their deadline, or
-    /// fire the cancel token, per [`FaultPlan`]. Index-addressed where
-    /// the marker injectors are content-addressed, so chaos suites can
-    /// plan faults without editing page HTML. Production extractors
-    /// simply never attach one.
+    /// fire the cancel token, per [`FaultPlan`]. Index-addressed, so
+    /// chaos suites can plan faults without editing page HTML; a
+    /// single-page [`FormExtractor::extract`] is page 0. Production
+    /// extractors simply never attach one.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = (!plan.is_empty()).then(|| Arc::new(plan));
         self
     }
 
-    /// Attaches a parse cache (builder style) — the two-tier revisit
-    /// path for crawler-scale traffic. A page whose tokens match a
-    /// cached visit exactly replays the cached report in O(hash)
-    /// ([`Provenance::CacheHit`]); a near-match seeds the parse from
-    /// the cached chart snapshot ([`Provenance::DeltaReparse`]);
-    /// anything else parses cold and, when it completes on the grammar
-    /// path, is stored for the next visit. Both cached tiers are
-    /// byte-identical to a cold parse (the cache-parity invariant).
+    /// Attaches a parse cache (builder style) — the revisit path for
+    /// crawler-scale traffic. A page whose tokens match a cached visit
+    /// exactly replays the cached report in O(hash)
+    /// ([`Provenance::CacheHit`]); anything else parses cold and, when
+    /// its parse completes, is stored for the next visit. A replayed
+    /// report is byte-identical to a cold parse (the cache-parity
+    /// invariant).
     /// The cache is shared: clones of this extractor, batch workers,
     /// and other extractors holding the same `Arc` all feed and serve
     /// from it. Entries from a different compiled grammar are ignored,
@@ -585,12 +552,6 @@ impl FormExtractor {
             if fault == Some(Fault::Panic) {
                 panic!("injected fault: plan panics page {page_index}");
             }
-            if let Some(marker) = &self.fault_marker {
-                assert!(
-                    !html.contains(marker.as_str()),
-                    "injected fault: page contains {marker:?}"
-                );
-            }
             let doc = parse_html(html);
             let lay = layout_with(&doc, &self.layout);
             tokenize(&doc, &lay).tokens
@@ -607,15 +568,11 @@ impl FormExtractor {
         if tokens.is_empty() {
             return Attempt::failed(ExtractError::EmptyForm { page_index });
         }
-        // Deterministic cancellation points for tests: the marker page
-        // (or planned Cancel page) fires the token right before its own
-        // parse, which then observes the cancellation at its first poll.
+        // Deterministic cancellation point for tests: a planned Cancel
+        // page fires the token right before its own parse, which then
+        // observes the cancellation at its first poll.
         if let Some(token) = self.cancel() {
-            let marker_hit = self
-                .cancel_marker
-                .as_ref()
-                .is_some_and(|marker| html.contains(marker.as_str()));
-            if marker_hit || fault == Some(Fault::Cancel) {
+            if fault == Some(Fault::Cancel) {
                 token.cancel();
             }
         }
@@ -748,11 +705,7 @@ impl FormExtractor {
         if let Some(hit) = self.replay_cached(tokens, fingerprint.as_ref()) {
             return hit;
         }
-        let seed = self.seed_visit(tokens);
-        let result = match &seed {
-            Some(visit) => session.parse_seeded(tokens, &visit.snapshot),
-            None => session.parse(tokens),
-        };
+        let result = session.parse(tokens);
         // A budget-limited chart gets the salvage merge — the regular
         // union over maximal trees plus the sweep that recovers
         // conditions stranded below the truncation point. Completed
@@ -761,37 +714,21 @@ impl FormExtractor {
             BudgetOutcome::Completed => merge(&result.chart, &result.trees),
             _ => salvage_merge(&result.chart, &result.trees),
         };
-        let stats = result.stats.clone();
-        // Mining evidence must come off the chart before the store
-        // consumes the result into a snapshot.
         let grammar = self.grammar.grammar();
-        let pattern_spans = metaform_parser::pattern_spans(&result.chart, &result.trees, grammar);
-        let partial_roots = metaform_parser::tree_symbols(&result.chart, &result.trees, grammar);
-        if let Some(spare) = self.store_visit(
-            tokens,
-            fingerprint,
-            &report,
-            &pattern_spans,
-            &partial_roots,
-            result,
-        ) {
-            session.recycle(spare);
-        }
-        Extraction {
+        let extraction = Extraction {
             report,
-            stats,
+            stats: result.stats.clone(),
             tokens: tokens.to_vec(),
-            via: if seed.is_some() {
-                Provenance::DeltaReparse
-            } else {
-                Provenance::Grammar
-            },
-            pattern_spans,
-            partial_roots,
-        }
+            via: Provenance::Grammar,
+            pattern_spans: metaform_parser::pattern_spans(&result.chart, &result.trees, grammar),
+            partial_roots: metaform_parser::tree_symbols(&result.chart, &result.trees, grammar),
+        };
+        session.recycle(result);
+        self.store_visit(fingerprint, &extraction);
+        extraction
     }
 
-    /// Tier A: replays the cached report when the page's tokens match
+    /// Replays the cached report when the page's tokens match
     /// a prior visit exactly. The fingerprint addresses the entry; the
     /// full token comparison rules out collisions. The synthesized
     /// stats carry only the token count — no parse ran.
@@ -815,50 +752,27 @@ impl FormExtractor {
         })
     }
 
-    /// Tier B candidate: the cached visit to seed a delta re-parse
-    /// from, if one parsed under this grammar and shares at least half
-    /// of `tokens` as a content-equal prefix+suffix. Below that the
-    /// carried region is too small for seeding to beat a cold parse.
-    fn seed_visit(&self, tokens: &[Token]) -> Option<Arc<CachedVisit>> {
-        let (visit, shared) = self.cache.as_ref()?.nearest(tokens)?;
-        (Arc::ptr_eq(&visit.grammar, &self.grammar) && shared * 2 >= tokens.len()).then_some(visit)
-    }
-
-    /// Retains a finished grammar-path parse for future revisits,
-    /// moving the result's chart into the cached snapshot (no deep
-    /// copy). Only completed parses are stored —
-    /// [`ChartSnapshot::take`] refuses truncated/timed-out/cancelled
-    /// charts, whose unexplored combinations would break the
-    /// seeded-watermark soundness argument — and a refused (or
-    /// uncached) result is handed back for the session to recycle.
-    fn store_visit(
-        &self,
-        tokens: &[Token],
-        fingerprint: Option<TokenFingerprint>,
-        report: &ExtractionReport,
-        pattern_spans: &[PatternSpan],
-        partial_roots: &[String],
-        result: metaform_parser::ParseResult,
-    ) -> Option<metaform_parser::ParseResult> {
+    /// Retains a grammar-path extraction for future revisits. Only
+    /// completed parses are stored: a truncated, timed-out or
+    /// cancelled parse's report depends on where the budget cut it, so
+    /// replaying it would pin one unlucky run onto every revisit.
+    fn store_visit(&self, fingerprint: Option<TokenFingerprint>, extraction: &Extraction) {
         let Some(cache) = &self.cache else {
-            return Some(result);
+            return;
         };
-        let snapshot = match ChartSnapshot::take(result) {
-            Ok(snapshot) => snapshot,
-            Err(result) => return Some(result),
-        };
+        if extraction.stats.budget != BudgetOutcome::Completed {
+            return;
+        }
         cache.store(
             fingerprint.expect("fingerprint exists whenever a cache is attached"),
             Arc::new(CachedVisit {
-                tokens: tokens.to_vec(),
-                report: report.clone(),
-                snapshot,
+                tokens: extraction.tokens.clone(),
+                report: extraction.report.clone(),
                 grammar: self.grammar.clone(),
-                pattern_spans: pattern_spans.to_vec(),
-                partial_roots: partial_roots.to_vec(),
+                pattern_spans: extraction.pattern_spans.clone(),
+                partial_roots: extraction.partial_roots.clone(),
             }),
         );
-        None
     }
 }
 
@@ -1016,8 +930,8 @@ pub(crate) mod tests {
             ex.try_extract("<form></form>"),
             Err(ExtractError::EmptyForm { page_index: 0 })
         ));
-        let poisoned = FormExtractor::new().inject_panic_marker("POISON");
-        match poisoned.try_extract("<form>POISON <input type=text name=q></form>") {
+        let poisoned = FormExtractor::new().fault_plan(FaultPlan::new().with(0, Fault::Panic));
+        match poisoned.try_extract("<form>Author <input type=text name=q></form>") {
             Err(ExtractError::Panicked {
                 page_index,
                 message,
@@ -1041,7 +955,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parse_cache_serves_exact_and_delta_revisits() {
+    fn parse_cache_serves_exact_revisits() {
         use crate::cache::LruParseCache;
         let cache = LruParseCache::shared();
         let extractor = FormExtractor::new().parse_cache(cache.clone());
@@ -1054,14 +968,11 @@ pub(crate) mod tests {
         assert_eq!(hit.report.to_string(), cold.report.to_string());
         assert_eq!(hit.tokens, cold.tokens);
         assert_eq!(hit.stats.created, 0, "no parse ran");
-        // Edited revisit: seeded from the cached chart, byte-identical
-        // to a cold parse of the edited page.
+        // Edited revisit: a miss, parsed cold and stored; revisiting
+        // it then hits.
         let edited = QAM.replace("<b>Subject</b>", "<b>Keywords</b>");
-        let delta = extractor.extract(&edited);
-        assert_eq!(delta.via, Provenance::DeltaReparse);
-        let cold_edited = FormExtractor::new().extract(&edited);
-        assert_eq!(delta.report.to_string(), cold_edited.report.to_string());
-        // The edited visit was stored too: revisiting it hits.
+        assert_eq!(extractor.extract(&edited).via, Provenance::Grammar);
+        assert_eq!(cache.len(), 2);
         assert_eq!(extractor.extract(&edited).via, Provenance::CacheHit);
     }
 
@@ -1069,14 +980,33 @@ pub(crate) mod tests {
     fn uncacheable_outcomes_are_not_stored() {
         use crate::cache::LruParseCache;
         let cache = LruParseCache::shared();
-        // A truncated parse must not seed future revisits: its chart
-        // is incomplete, and its baseline report is not a parse.
+        // A truncated parse must not be replayed: its baseline report
+        // is not a parse.
         let capped = FormExtractor::new()
             .max_instances(3)
             .parse_cache(cache.clone());
         let degraded = capped.extract(QAM);
         assert_eq!(degraded.via, Provenance::BaselineFallback);
         assert!(cache.is_empty(), "nothing cached from a failed parse");
+    }
+
+    #[test]
+    fn salvaged_pages_are_not_stored() {
+        use crate::cache::LruParseCache;
+        let cache = LruParseCache::shared();
+        // A cap that cuts the parse short late enough for the partial
+        // trees to beat the baseline (QAM completes at ~83 instances):
+        // the page is served from the truncated chart, which must not
+        // be stored — a resubmit parses again.
+        let salvaging = FormExtractor::new()
+            .max_instances(70)
+            .parse_cache(cache.clone());
+        let salvaged = salvaging.extract(QAM);
+        assert_eq!(salvaged.via, Provenance::PartialSalvage);
+        assert_eq!(salvaged.stats.budget, BudgetOutcome::TruncatedInstances);
+        assert!(cache.is_empty(), "a truncated parse is never stored");
+        assert_eq!(salvaging.extract(QAM).via, Provenance::PartialSalvage);
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -1092,7 +1022,7 @@ pub(crate) mod tests {
         );
         assert!(!degraded.tokens.is_empty());
         // Same for a panicking page.
-        let poisoned = FormExtractor::new().inject_panic_marker("Subject");
+        let poisoned = FormExtractor::new().fault_plan(FaultPlan::new().with(0, Fault::Panic));
         let degraded = poisoned.extract(QAM);
         assert_eq!(degraded.via, Provenance::BaselineFallback);
         assert!(!degraded.report.conditions.is_empty());

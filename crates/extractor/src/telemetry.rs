@@ -110,9 +110,6 @@ pub enum CacheOutcome {
     /// Exact fingerprint hit: the cached report was replayed, no parse
     /// ran ([`crate::Provenance::CacheHit`]).
     Hit,
-    /// A similar cached visit seeded a delta re-parse
-    /// ([`crate::Provenance::DeltaReparse`]).
-    Delta,
     /// The cache was consulted but the page parsed cold
     /// ([`crate::Provenance::Grammar`] with a cache attached).
     Miss,
@@ -123,7 +120,6 @@ impl CacheOutcome {
     pub fn as_str(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
-            CacheOutcome::Delta => "delta",
             CacheOutcome::Miss => "miss",
         }
     }
@@ -132,7 +128,6 @@ impl CacheOutcome {
     pub fn parse(s: &str) -> Result<Self, String> {
         Ok(match s {
             "hit" => CacheOutcome::Hit,
-            "delta" => CacheOutcome::Delta,
             "miss" => CacheOutcome::Miss,
             other => return Err(format!("unknown cache outcome {other:?}")),
         })
@@ -445,7 +440,9 @@ pub fn stats_to_json(stats: &BatchStats) -> String {
         ("retried", stats.retried as u64),
         ("recovered", stats.recovered as u64),
         ("cache_hits", stats.cache_hits as u64),
-        ("cache_delta", stats.cache_delta as u64),
+        // Retired delta re-parse tier: the key stays, always 0, so
+        // readers of the document keep parsing it.
+        ("cache_delta", 0),
         ("cache_misses", stats.cache_misses as u64),
     ];
     for (name, value) in fields {
@@ -492,7 +489,6 @@ pub fn stats_from_json(src: &str) -> Result<BatchStats, String> {
         retried: usize_field("retried")?,
         recovered: usize_field("recovered")?,
         cache_hits: usize_field("cache_hits")?,
-        cache_delta: usize_field("cache_delta")?,
         cache_misses: usize_field("cache_misses")?,
         elapsed: Duration::from_micros(root.field("elapsed_us")?.num()?),
     })
@@ -805,7 +801,7 @@ mod tests {
                         max_instances: 4000,
                         deadline_ms: None,
                         error: None,
-                        cache: Some(CacheOutcome::Delta),
+                        cache: Some(CacheOutcome::Miss),
                         tokens: 22,
                         created: 3107,
                         covered: Some(22),
@@ -970,7 +966,6 @@ mod tests {
             retried: 6,
             recovered: 7,
             cache_hits: 8,
-            cache_delta: 9,
             cache_misses: 10,
             elapsed: Duration::from_micros(8_675_309),
         };
@@ -980,6 +975,8 @@ mod tests {
         assert_eq!(stats_to_json(&parsed), json, "serialization is a fixpoint");
         assert!(json.starts_with("{\"pages\": 33, "), "{json}");
         assert!(json.ends_with("\"elapsed_us\": 8675309}"), "{json}");
+        // The retired delta tier's key stays on the wire, pinned at 0.
+        assert!(json.contains("\"cache_delta\": 0, "), "{json}");
         // Defaults round-trip too, and garbage is rejected.
         let empty = BatchStats::default();
         assert_eq!(stats_from_json(&stats_to_json(&empty)).unwrap(), empty);

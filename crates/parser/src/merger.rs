@@ -16,11 +16,12 @@ use std::collections::{HashMap, HashSet};
 /// Trees are visited largest-span first, ties broken by span content
 /// and then by the conditions themselves — never by instance id.
 /// [`maximize()`](crate::maximize()) orders equal-span ties by id, and
-/// ids depend on chart history: a seeded re-parse
-/// ([`crate::ParseSession::parse_seeded`]) numbers carried instances
-/// differently from a cold parse of the same tokens. Re-sorting here by
-/// content keeps the report byte-identical across the two, which the
-/// cache-parity suite enforces. Conditions are unioned with
+/// ids are creation order — an artifact of how the fix-point schedule
+/// built the chart, not of the page. Re-sorting here by content keeps
+/// the report a function of the trees alone, whatever the schedule
+/// (naive or semi-naive, banded or linear enumeration); dropping the
+/// sort could reorder the conditions of reports the golden corpora
+/// pin. Conditions are unioned with
 /// equivalence-level deduplication. When two *different* conditions
 /// claim the same token, both stay in the model (the parser cannot
 /// arbitrate — that is client-side work, §7), and a [`Conflict`]

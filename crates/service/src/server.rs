@@ -83,13 +83,6 @@ pub struct ServiceConfig {
     /// Unix-socket path for the line-delimited-JSON daemon listener;
     /// `None` disables daemon mode.
     pub uds_path: Option<String>,
-    /// Test-only fault injection: pages containing this marker panic
-    /// the pipeline (mirrors `FormExtractor::inject_panic_marker`).
-    pub panic_marker: Option<String>,
-    /// Test-only cancellation injection: a page containing this marker
-    /// fires the job's cancel token mid-parse (mirrors
-    /// `FormExtractor::inject_cancel_marker`).
-    pub cancel_marker: Option<String>,
     /// Automatic budget recalibration cadence: after every N completed
     /// jobs the control plane refits the live budgets from the
     /// accumulated rollups and failure records (see [`BudgetControl`]).
@@ -124,8 +117,6 @@ impl Default for ServiceConfig {
             max_body_bytes: 16 * 1024 * 1024,
             read_timeout: Duration::from_secs(10),
             uds_path: None,
-            panic_marker: None,
-            cancel_marker: None,
             refit_every: None,
             induce_every: None,
             fault_plan: None,
@@ -322,8 +313,9 @@ impl ServiceState {
     /// Builds the shared state: one extractor configured per `config`
     /// (grammar compiled once, here), an empty store, an empty queue.
     /// The extractor carries a process-wide parse cache, so a page
-    /// resubmitted in a later job replays or delta-reparses against
-    /// the earlier visit (the per-job extractor clones share it).
+    /// resubmitted unchanged in a later job replays the earlier
+    /// visit's report (the per-job extractor clones share it); any
+    /// other page parses cold.
     pub fn new(config: ServiceConfig) -> Self {
         let mut extractor = FormExtractor::new().parse_cache(LruParseCache::shared());
         if let Some(workers) = config.batch_workers {
@@ -334,12 +326,6 @@ impl ServiceState {
         }
         if let Some(deadline) = config.page_deadline {
             extractor = extractor.page_deadline(deadline);
-        }
-        if let Some(marker) = &config.panic_marker {
-            extractor = extractor.inject_panic_marker(marker.clone());
-        }
-        if let Some(marker) = &config.cancel_marker {
-            extractor = extractor.inject_cancel_marker(marker.clone());
         }
         if let Some(plan) = &config.fault_plan {
             extractor = extractor.fault_plan(plan.clone());
@@ -481,9 +467,6 @@ impl ServiceState {
         self.metrics
             .pages_cache_hit
             .add(batch.stats.cache_hits as u64);
-        self.metrics
-            .pages_cache_delta
-            .add(batch.stats.cache_delta as u64);
         self.metrics
             .pages_cache_miss
             .add(batch.stats.cache_misses as u64);
@@ -763,7 +746,6 @@ fn job_results(state: &ServiceState, id: u64) -> Response {
                 Provenance::PartialSalvage => "salvage",
                 Provenance::BaselineFallback => "baseline",
                 Provenance::CacheHit => "cache_hit",
-                Provenance::DeltaReparse => "delta_reparse",
             };
             let http_status = status_by_page
                 .get(&index)
@@ -1158,10 +1140,7 @@ mod tests {
             metrics.contains("metaformd_pages_cache_miss_total 1\n"),
             "{metrics}"
         );
-        assert!(
-            metrics.contains("metaformd_pages_cache_delta_total 0\n"),
-            "{metrics}"
-        );
+        assert!(!metrics.contains("cache_delta"), "{metrics}");
         assert!(
             metrics.contains("metaformd_revisit_hints_total 1\n"),
             "{metrics}"

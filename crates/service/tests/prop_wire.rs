@@ -59,7 +59,6 @@ fn cache_outcome() -> impl Strategy<Value = Option<CacheOutcome>> {
     prop_oneof![
         Just(None),
         Just(Some(CacheOutcome::Hit)),
-        Just(Some(CacheOutcome::Delta)),
         Just(Some(CacheOutcome::Miss)),
     ]
 }
@@ -159,7 +158,7 @@ proptest! {
     }
 
     #[test]
-    fn batch_stats_round_trip_through_json(fields in vec(0u64..5_000_000, 20)) {
+    fn batch_stats_round_trip_through_json(fields in vec(0u64..5_000_000, 19)) {
         let stats = BatchStats {
             pages: fields[0] as usize,
             workers: fields[1] as usize,
@@ -178,9 +177,8 @@ proptest! {
             retried: fields[14] as usize,
             recovered: fields[15] as usize,
             cache_hits: fields[16] as usize,
-            cache_delta: fields[17] as usize,
-            cache_misses: fields[18] as usize,
-            elapsed: Duration::from_micros(fields[19]),
+            cache_misses: fields[17] as usize,
+            elapsed: Duration::from_micros(fields[18]),
         };
         let json = stats_to_json(&stats);
         let back = stats_from_json(&json);

@@ -5,6 +5,7 @@ use crate::textrun::{merge_runs, RawRun};
 use metaform_core::{BBox, Token, TokenFingerprint, TokenId, TokenKind};
 use metaform_html::{Document, NodeId};
 use metaform_layout::Layout;
+use std::collections::HashMap;
 
 /// A tokenized query interface.
 #[derive(Clone, Debug)]
@@ -76,7 +77,9 @@ pub fn tokenize_all_forms(doc: &Document, layout: &Layout) -> Vec<Tokenized> {
 pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokenized {
     let mut widgets: Vec<(Token, NodeId)> = Vec::new();
     let mut runs: Vec<RawRun> = Vec::new();
-    let mut run_nodes: Vec<(u32, NodeId)> = Vec::new(); // (line, node) keyed lookup
+    // First node (in walk order) with a text fragment on each line: a
+    // merged run reports the node of its line.
+    let mut line_nodes: HashMap<u32, NodeId> = HashMap::new();
 
     let mut in_select_depth = 0usize;
     let mut select_stack: Vec<NodeId> = Vec::new();
@@ -145,7 +148,7 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
                     bbox: f.bbox,
                     line: f.line,
                 });
-                run_nodes.push((f.line, node));
+                line_nodes.entry(f.line).or_insert(node);
             }
         }
     }
@@ -163,10 +166,7 @@ pub fn tokenize_scope(doc: &Document, layout: &Layout, scope: NodeId) -> Tokeniz
         pending.push(Pending::Widget(t, n));
     }
     for r in merged {
-        let node = run_nodes
-            .iter()
-            .find(|(line, _)| *line == r.line)
-            .map(|&(_, n)| n);
+        let node = line_nodes.get(&r.line).copied();
         pending.push(Pending::Text(r, node));
     }
     // Line boxes bottom-align their items, so (bottom, left) is reading
@@ -377,6 +377,24 @@ mod tests {
         let texts: Vec<&Token> = t.of_kind(TokenKind::Text).collect();
         assert_eq!(texts.len(), 1);
         assert_eq!(texts[0].sval, "Price Range:");
+    }
+
+    #[test]
+    fn merged_run_maps_to_the_first_node_on_its_line() {
+        // "Price" and " Range:" are fragments of two text nodes on one
+        // line; the merged caption points back at the first of them.
+        let doc = parse("<form><b>Price</b> Range: <input type=text name=p></form>");
+        let lay = layout(&doc);
+        let t = tokenize(&doc, &lay);
+        let text_nodes: Vec<NodeId> = doc
+            .descendants(doc.root())
+            .filter(|&n| doc.text(n).is_some_and(|s| !s.trim().is_empty()))
+            .collect();
+        assert_eq!(text_nodes.len(), 2, "two text nodes");
+        let caption = t.tokens.iter().position(|x| x.kind == TokenKind::Text);
+        let caption = caption.expect("one caption");
+        assert_eq!(t.tokens[caption].sval, "Price Range:");
+        assert_eq!(t.nodes[caption], Some(text_nodes[0]));
     }
 
     #[test]

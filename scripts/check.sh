@@ -45,7 +45,7 @@ echo "==> provenance construction gate (salvage/fallback each built in exactly o
 test "$(grep -c 'via = Provenance::PartialSalvage' crates/extractor/src/pipeline.rs)" = 1
 test "$(grep -c 'via: Provenance::BaselineFallback' crates/extractor/src/pipeline.rs)" = 1
 
-echo "==> cargo test -q --test cache_parity (revisit tiers vs cold parse)"
+echo "==> cargo test -q --test cache_parity (exact-hit replay and misses vs cold parse)"
 cargo test -q --test cache_parity
 
 echo "==> cargo test -q --test induction (grammar induction: trajectory, determinism, safety)"
@@ -72,13 +72,26 @@ test "$(grep -rl 'CompiledGrammar::build' crates src | grep -v 'crates/grammar/s
 test "$(grep -rn '\.compile()' crates/service/src | wc -l)" = 0
 grep -q 'RejectReason::CompileError' crates/eval/src/induction.rs
 
-echo "==> bench_revisit smoke (cache tiers engage; parity asserted inside)"
+echo "==> bench_revisit smoke (exact hits replay; parity asserted inside)"
 cargo run --release -q -p metaform-bench --bin bench_revisit -- "$tmp/BENCH_revisit.json" > /dev/null
 grep -q '"exact_hit_speedup"' "$tmp/BENCH_revisit.json"
-grep -q '"tier_delta"' "$tmp/BENCH_revisit.json"
 
-echo "==> bench_parse perf smoke (fails on >1.5x median regression vs committed BENCH_parse.json)"
+echo "==> bench_parse perf smoke (work counters must equal, median within 1.5x of committed BENCH_parse.json)"
 cargo run --release -q -p metaform-bench --bin bench_parse -- --smoke "$tmp/BENCH_parse.json" > /dev/null
+# Work-counter gate, exact and host-independent: the smoke run's
+# counters (combos, skipped combos and pairs, instances, trees) per
+# fix-point mode must equal the committed ones. A change that alters
+# parse work must say why in CHANGES.md and re-bless BENCH_parse.json.
+counters() {
+    awk '/"(seminaive|naive)": [{]/ { mode = $1; gsub(/[":]/, "", mode) }
+         /"(combos_enumerated|combos_skipped_delta|pairs_skipped_delta|instances_created|trees)":/ {
+             key = $1; gsub(/[":]/, "", key); val = $2; gsub(/,/, "", val)
+             print mode "." key " " val
+         }' "$1"
+}
+test "$(counters BENCH_parse.json | wc -l)" = 10
+diff <(counters BENCH_parse.json) <(counters "$tmp/BENCH_parse.json")
+echo "    work counters equal the committed ones"
 # First "median_batch_ms" in each file is the seminaive mode — the
 # headline the regression gate tracks. The 1.5x allowance absorbs
 # ordinary scheduler noise on shared hosts; a real algorithmic

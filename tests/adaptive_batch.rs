@@ -10,7 +10,9 @@ use metaform::{
     AdaptiveOptions, BudgetPreset, CancelToken, ExtractError, FormExtractor, Provenance,
 };
 use metaform_datasets::basic;
-use metaform_extractor::{failures_from_json, failures_to_json, ErrorKind, FailureOutcome};
+use metaform_extractor::{
+    failures_from_json, failures_to_json, ErrorKind, FailureOutcome, Fault, FaultPlan,
+};
 
 /// A batch of real pages from the Basic dataset.
 fn dataset_pages(n: usize) -> Vec<String> {
@@ -104,16 +106,13 @@ fn truncated_page_recovers_on_retry_byte_identical_to_one_shot() {
 #[test]
 fn panicked_and_empty_pages_are_never_retried() {
     let mut pages = dataset_pages(6);
-    pages.insert(
-        2,
-        "<form>PANIC_MARKER <input type=text name=p></form>".into(),
-    );
+    pages.insert(2, "<form>Poison <input type=text name=p></form>".into());
     pages.insert(4, "<form></form>".into());
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
 
     let extractor = FormExtractor::new()
         .worker_threads(2)
-        .inject_panic_marker("PANIC_MARKER");
+        .fault_plan(FaultPlan::new().with(2, Fault::Panic));
     let batch = extractor.extract_batch_adaptive(
         &refs,
         &AdaptiveOptions {
@@ -192,45 +191,43 @@ fn exhausted_retries_degrade_with_baseline_provenance() {
 #[test]
 fn cancellation_mid_batch_keeps_completed_pages() {
     let mut pages = dataset_pages(8);
-    // The marker page fires the token just before its own parse; with
-    // one worker, everything before it is already complete and
-    // everything after it is skipped by the pre-parse check. The
-    // marker page itself is rich enough that its parse is guaranteed
+    // The planned Cancel page fires the token just before its own
+    // parse; with one worker, everything before it is already complete
+    // and everything after it is skipped by the pre-parse check. The
+    // cancel page itself is rich enough that its parse is guaranteed
     // to reach a sampled poll and observe the cancellation.
-    let marker_at = 3;
-    pages.insert(marker_at, {
-        let rich = dataset_pages(1).remove(0);
-        rich.replace("<form", "<form data-cancel=CANCEL_NOW")
-    });
+    let cancel_at = 3;
+    pages.insert(cancel_at, dataset_pages(1).remove(0));
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
+    let plan = FaultPlan::new().with(cancel_at, Fault::Cancel);
 
     let token = CancelToken::new();
     let extractor = FormExtractor::new()
         .worker_threads(1)
         .cancel_token(token.clone())
-        .inject_cancel_marker("CANCEL_NOW");
+        .fault_plan(plan.clone());
     let batch = extractor.extract_batch_adaptive(&refs, &AdaptiveOptions::default());
-    assert!(token.is_cancelled(), "the marker page fired the token");
+    assert!(token.is_cancelled(), "the cancel page fired the token");
 
-    // Pages before the marker completed and keep their results.
-    for i in 0..marker_at {
+    // Pages before the cancel page completed and keep their results.
+    for i in 0..cancel_at {
         assert_eq!(batch.extractions[i].via, Provenance::Grammar, "page {i}");
     }
-    // The marker page and everything after it were cancelled, never
+    // The cancel page and everything after it were cancelled, never
     // retried, and served by the baseline.
-    let cancelled = refs.len() - marker_at;
+    let cancelled = refs.len() - cancel_at;
     assert_eq!(batch.stats.cancelled, cancelled);
     assert_eq!(batch.stats.degraded, cancelled);
     assert_eq!(batch.stats.retried, 0, "a cancelled batch never retries");
     assert_eq!(batch.stats.failed(), cancelled);
     assert_eq!(batch.failures.len(), cancelled);
     for (offset, record) in batch.failures.iter().enumerate() {
-        assert_eq!(record.page_index, marker_at + offset);
+        assert_eq!(record.page_index, cancel_at + offset);
         assert_eq!(record.error, ErrorKind::Cancelled);
         assert_eq!(record.outcome, FailureOutcome::Cancelled);
         assert_eq!(record.attempts, 1);
     }
-    for i in marker_at..refs.len() {
+    for i in cancel_at..refs.len() {
         assert_eq!(batch.extractions[i].via, Provenance::BaselineFallback);
     }
 
@@ -239,10 +236,10 @@ fn cancellation_mid_batch_keeps_completed_pages() {
     let extractor2 = FormExtractor::new()
         .worker_threads(1)
         .cancel_token(token2)
-        .inject_cancel_marker("CANCEL_NOW");
+        .fault_plan(plan);
     let results = extractor2.extract_batch_results(&refs);
     for (i, result) in results.iter().enumerate() {
-        if i < marker_at {
+        if i < cancel_at {
             assert!(result.is_ok(), "page {i} completed before the token fired");
         } else {
             assert!(
@@ -290,13 +287,13 @@ fn adaptive_results_are_deterministic_across_worker_counts() {
 #[test]
 fn real_failure_records_round_trip_through_json() {
     let mut pages = dataset_pages(5);
-    pages.push("<form>PANIC_MARKER <input type=text name=p></form>".into());
+    pages.push("<form>Poison <input type=text name=p></form>".into());
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
     let cap = created_unbounded(refs[1]) / 2 + 1;
     let batch = FormExtractor::new()
         .worker_threads(2)
         .max_instances(cap)
-        .inject_panic_marker("PANIC_MARKER")
+        .fault_plan(FaultPlan::new().with(pages.len() - 1, Fault::Panic))
         .extract_batch_adaptive(&refs, &AdaptiveOptions::default());
     assert!(
         !batch.failures.is_empty(),

@@ -1,16 +1,17 @@
-//! The cache-parity invariant: a report served from the parse cache —
-//! exact-hit replay or delta re-parse seeded from a cached chart — is
-//! **byte-identical** to a cold parse of the same page.
+//! The cache-parity invariant: a report served from the parse cache
+//! by exact-hit replay is **byte-identical** to a cold parse of the
+//! same page, and a page that differs from every cached visit is a
+//! miss that parses cold.
 //!
 //! Coverage:
 //!
-//! - every survey-corpus page, revisited unchanged (exact-hit tier);
+//! - every survey-corpus page, revisited unchanged (exact hit);
 //! - every deterministic revisit scenario (label edit, row insertion,
-//!   bbox jitter) against a cache primed with the original (delta
-//!   tier — or a miss when the edit moved too much, which must *also*
-//!   be byte-identical);
-//! - both fix-point schedules, since the seeded watermarks exist only
-//!   under `SemiNaive` and parity must not depend on them;
+//!   bbox jitter) against a cache primed with the original: a miss,
+//!   byte-identical to a cold parse;
+//! - seven column-realignment scenarios pinned as cold, so a future
+//!   cache tier cannot start warming them unnoticed;
+//! - both fix-point schedules;
 //! - random multi-edit mutation scripts (property test), because the
 //!   hand-picked scenarios are single edits.
 
@@ -81,44 +82,28 @@ fn mutated_revisits_match_a_cold_parse() {
     assert!(!scenarios.is_empty());
     for mode in MODES {
         let cold = cold_extractor(mode);
-        let mut deltas = 0;
         for scenario in &scenarios {
-            // A fresh cache per scenario pins the seed to this
-            // scenario's original visit.
+            let label = format!("{} [{mode:?}]", scenario.name);
+            // A fresh cache per scenario holds only this scenario's
+            // original visit.
             let cached = cached_extractor(mode);
             cached.extract(&scenario.original);
             let warm = cached.extract(&scenario.mutated);
-            assert_ne!(
+            assert_eq!(
                 warm.via,
-                Provenance::BaselineFallback,
-                "{}: revisit degraded",
-                scenario.name
+                Provenance::Grammar,
+                "{label}: an edited revisit must miss and parse cold"
             );
-            if warm.via == Provenance::DeltaReparse {
-                deltas += 1;
-            }
-            assert_parity(
-                &cold.extract(&scenario.mutated),
-                &warm,
-                &format!("{} [{mode:?}]", scenario.name),
-            );
+            assert_parity(&cold.extract(&scenario.mutated), &warm, &label);
         }
-        assert!(
-            deltas * 2 >= scenarios.len(),
-            "[{mode:?}] expected most single-edit revisits to take the \
-             delta tier, got {deltas}/{}",
-            scenarios.len()
-        );
     }
 }
 
-/// The seven column-realignment scenarios DESIGN §5.10 documents as
-/// *soundly* cold: their edit realigns one layout column, so shifted
-/// and unshifted tokens alternate and no contiguous affix — translated
-/// or not — can clear the `shared * 2 >= len` seed threshold. Absolute
-/// distances between the two token classes genuinely change, so the
-/// proximity predicates must be re-evaluated; serving these from the
-/// delta tier would be unsound, not an optimization.
+/// Seven column-realignment scenarios: each edit realigns one layout
+/// column, so shifted and unshifted tokens alternate and absolute
+/// distances between the two token classes genuinely change. The
+/// proximity predicates must be re-evaluated, so any cache that served
+/// these without a cold parse would be unsound, not an optimization.
 const SOUNDLY_COLD: [&str; 7] = [
     "books-006/label-edit",
     "books-009/label-edit",
@@ -131,9 +116,9 @@ const SOUNDLY_COLD: [&str; 7] = [
 
 #[test]
 fn column_realignment_revisits_stay_soundly_cold() {
-    // Regression pin for the list above: a future delta-tier change
-    // that starts warming any of these must edit this list explicitly
-    // (and argue why re-seeding across a column realignment is sound).
+    // Regression pin for the list above: a future cache tier that
+    // starts warming any of these must edit this list explicitly (and
+    // argue why reusing work across a column realignment is sound).
     let scenarios = revisit_scenarios();
     let mut seen = 0;
     for scenario in &scenarios {
@@ -172,8 +157,8 @@ proptest! {
 
     /// Random mutation scripts: compose 1–3 edits onto a corpus page,
     /// prime the cache with the original, and require the revisit to
-    /// be byte-identical to a cold parse of the final form — whichever
-    /// tier serves it.
+    /// be byte-identical to a cold parse of the final form — whether
+    /// it hits (every edit was a no-op) or misses.
     #[test]
     fn random_mutation_scripts_preserve_parity(
         page in 0usize..33,

@@ -6,6 +6,7 @@
 
 use metaform::{BatchStats, ExtractError, FormExtractor, Provenance};
 use metaform_datasets::basic;
+use metaform_extractor::{Fault, FaultPlan};
 use std::time::Duration;
 
 /// A batch of real pages from the Basic dataset with one poison page
@@ -21,14 +22,14 @@ const POISON_AT: usize = 7;
 
 #[test]
 fn panicking_page_yields_error_slot_and_leaves_others_byte_identical() {
-    let poison = "<form>PANIC_MARKER <input type=text name=p></form>";
+    let poison = "<form>Poison <input type=text name=p></form>";
     let pages = pages_with_poison(poison, POISON_AT);
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
 
     let clean = FormExtractor::new().worker_threads(4);
     let poisoned = FormExtractor::new()
         .worker_threads(4)
-        .inject_panic_marker("PANIC_MARKER");
+        .fault_plan(FaultPlan::new().with(POISON_AT, Fault::Panic));
 
     let results = poisoned.extract_batch_results(&refs);
     assert_eq!(results.len(), refs.len());
@@ -66,13 +67,13 @@ fn panicking_page_yields_error_slot_and_leaves_others_byte_identical() {
 
 #[test]
 fn infallible_batch_degrades_the_poison_page_and_counts_it() {
-    let poison = "<form>PANIC_MARKER <input type=text name=p></form>";
+    let poison = "<form>Poison <input type=text name=p></form>";
     let pages = pages_with_poison(poison, POISON_AT);
     let refs: Vec<&str> = pages.iter().map(String::as_str).collect();
 
     let poisoned = FormExtractor::new()
         .worker_threads(4)
-        .inject_panic_marker("PANIC_MARKER");
+        .fault_plan(FaultPlan::new().with(POISON_AT, Fault::Panic));
     let (extractions, stats) = poisoned.extract_batch_stats(&refs);
 
     assert_eq!(extractions.len(), refs.len(), "no page is dropped");

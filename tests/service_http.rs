@@ -8,15 +8,17 @@
 //! masked via `FailureRecord::normalized`). Three scenarios:
 //!
 //! 1. the survey corpus with a poison (panicking) page in the middle;
-//! 2. a deterministic mid-batch cancellation (a marker page fires the
-//!    job's cancel token between pages, single batch worker);
+//! 2. a deterministic mid-batch cancellation (a planned cancel page
+//!    fires the job's cancel token between pages, single batch
+//!    worker);
 //! 3. `DELETE` on a still-queued job, equal to a run under a
 //!    pre-fired token.
 
 use metaform_datasets::survey_corpus;
 use metaform_extractor::telemetry::failures_from_json;
 use metaform_extractor::{
-    stats_to_json, AdaptiveBatch, AdaptiveOptions, FormExtractor, LruParseCache, Provenance,
+    stats_to_json, AdaptiveBatch, AdaptiveOptions, Fault, FaultPlan, FormExtractor, LruParseCache,
+    Provenance,
 };
 use metaform_parser::CancelToken;
 use metaform_service::{push_json_str, status_for, JsonValue, Server, ServerHandle, ServiceConfig};
@@ -141,7 +143,6 @@ fn assert_differential(results_body: &str, expected: &AdaptiveBatch) {
             Provenance::PartialSalvage => "salvage",
             Provenance::BaselineFallback => "baseline",
             Provenance::CacheHit => "cache_hit",
-            Provenance::DeltaReparse => "delta_reparse",
         };
         assert_eq!(
             report.field("via").and_then(|v| v.as_str()),
@@ -219,14 +220,15 @@ fn wire_results_are_byte_identical_to_in_process_extraction() {
     let mut pages: Vec<String> = survey_corpus().into_iter().map(|(_, html)| html).collect();
     pages.insert(
         5,
-        "<form>POISON <input type=text name=p><input type=submit value=Go></form>".to_string(),
+        "<form>Poison <input type=text name=p><input type=submit value=Go></form>".to_string(),
     );
+    let plan = FaultPlan::new().with(5, Fault::Panic);
 
     let handle = spawn_server(ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         pool_workers: 1,
         batch_workers: Some(2),
-        panic_marker: Some("POISON".to_string()),
+        fault_plan: Some(plan.clone()),
         ..ServiceConfig::default()
     });
     let addr = handle.addr;
@@ -255,7 +257,7 @@ fn wire_results_are_byte_identical_to_in_process_extraction() {
     let expected = FormExtractor::new()
         .worker_threads(2)
         .parse_cache(LruParseCache::shared())
-        .inject_panic_marker("POISON")
+        .fault_plan(plan)
         .extract_batch_adaptive(&refs, &AdaptiveOptions::default());
     assert_eq!(expected.stats.panicked, 1, "the poison page panicked");
     assert_differential(&body, &expected);
@@ -279,20 +281,21 @@ fn wire_results_are_byte_identical_to_in_process_extraction() {
 #[test]
 fn mid_batch_cancellation_matches_in_process_run() {
     // Deterministic mid-batch cancel: one batch worker processes pages
-    // in order; the marker page fires the job's token before its own
-    // parse, so page 0 completes, pages 1..N come back cancelled —
-    // on the wire and in process alike.
+    // in order; the planned cancel page fires the job's token before
+    // its own parse, so page 0 completes, pages 1..N come back
+    // cancelled — on the wire and in process alike.
     let pages = vec![
         "<form>Author <input type=text name=a><input type=submit value=Go></form>".to_string(),
-        "<form>CANCEL_NOW <input type=text name=c><input type=submit value=Go></form>".to_string(),
+        "<form>Keyword <input type=text name=c><input type=submit value=Go></form>".to_string(),
         "<form>Title <input type=text name=t><input type=submit value=Go></form>".to_string(),
     ];
+    let plan = FaultPlan::new().with(1, Fault::Cancel);
 
     let handle = spawn_server(ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         pool_workers: 1,
         batch_workers: Some(1),
-        cancel_marker: Some("CANCEL_NOW".to_string()),
+        fault_plan: Some(plan.clone()),
         ..ServiceConfig::default()
     });
     let job = submit(handle.addr, &pages);
@@ -304,7 +307,7 @@ fn mid_batch_cancellation_matches_in_process_run() {
         .worker_threads(1)
         .parse_cache(LruParseCache::shared())
         .cancel_token(CancelToken::new())
-        .inject_cancel_marker("CANCEL_NOW")
+        .fault_plan(plan)
         .extract_batch_adaptive(&refs, &AdaptiveOptions::default());
     assert_eq!(expected.stats.cancelled, 2, "pages 1..3 were cancelled");
     assert_eq!(expected.extractions[0].via, Provenance::Grammar);
