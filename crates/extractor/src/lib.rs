@@ -77,6 +77,7 @@ pub mod baseline;
 pub mod batch;
 pub mod cache;
 pub mod error;
+pub mod json;
 pub mod pipeline;
 pub mod resolve;
 pub mod telemetry;

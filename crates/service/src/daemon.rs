@@ -273,8 +273,8 @@ mod tests {
         assert_eq!(status, 202, "{body}");
         assert!(body.contains("\"job\": 1"), "{body}");
 
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
 
         let (status, body) = decode(&handle_line(&state, r#"{"op": "status", "job": 1}"#));
         assert_eq!(status, 200);

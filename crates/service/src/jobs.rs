@@ -1,5 +1,5 @@
-//! The job layer: a per-job state machine behind a **sharded** store
-//! and the bounded MPMC queue feeding the worker pool.
+//! The job layer: one table holding every job's state machine and the
+//! bounded FIFO queue that feeds the worker pool.
 //!
 //! Lifecycle (see DESIGN.md for the full diagram):
 //!
@@ -17,33 +17,26 @@
 //! pre-fired token. That keeps exactly one code path producing results
 //! and keeps cancelled jobs queryable like any finished job.
 //!
-//! **Sharding.** Both the store and the queue are split into
-//! shared-nothing shards selected by a mix of the job id, each behind
-//! its own `Mutex` — per-connection handler threads and pool workers
-//! touching different jobs no longer serialize on one lock. Ids stay
-//! dense and monotone ([`AtomicU64`], no lock at all), and the
-//! `/v1/jobs` listing gathers from every shard and sorts, so the
-//! external API is unchanged.
+//! **One lock.** The job map, the queue of waiting ids, the next id
+//! and the closed flag sit behind one `Mutex`, with one `Condvar` for
+//! idle workers. Every operation is a map or deque step of a few
+//! microseconds against milliseconds of extraction per job, so the
+//! lock is never the bottleneck — and a submit registers and enqueues
+//! a job in one critical section, so there is nothing to back out.
+//! Finished results are `Arc`-shared: readers clone the `Arc` under
+//! the lock and serialize after releasing it.
 //!
 //! **Poison recovery.** Every lock acquisition recovers from
-//! poisoning instead of panicking: the job maps and queue deques hold
-//! plain data whose invariants do not span the critical section, so a
-//! worker that panicked while holding a lock (already isolated per
-//! page by `catch_unwind` upstream) must degrade that one job, not
-//! wedge every future request into a `lock().expect()` panic cascade.
+//! poisoning instead of panicking: the table holds plain data whose
+//! invariants do not span a critical section, so a worker that
+//! panicked while holding the lock (already isolated per page by
+//! `catch_unwind` upstream) must degrade that one job, not wedge every
+//! future request into a `lock().expect()` panic cascade.
 
 use metaform_extractor::AdaptiveBatch;
 use metaform_parser::CancelToken;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-/// Default shard count for the store and the queue. Eight covers the
-/// worker-pool parallelism this service runs at; the `--shards` flag
-/// overrides.
-pub const DEFAULT_SHARDS: usize = 8;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Locks with poison recovery: a panic under the lock marks the data
 /// un-poisoned and keeps serving. See the module docs for why that is
@@ -53,16 +46,6 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         mutex.clear_poison();
         poisoned.into_inner()
     })
-}
-
-/// Shard index for a job id: a splitmix64 finalizer so dense ids
-/// spread instead of striding.
-fn shard_of(id: u64, shards: usize) -> usize {
-    let mut x = id;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    (x % shards as u64) as usize
 }
 
 /// Where a job is in its lifecycle.
@@ -96,8 +79,9 @@ impl JobPhase {
     }
 }
 
-/// One submitted batch job.
-#[derive(Debug)]
+/// One submitted batch job. Cloning is cheap (shared pages, token and
+/// result), which is how readers take a snapshot out of the table.
+#[derive(Clone, Debug)]
 pub struct Job {
     /// The submitted pages, shared with the worker that runs them.
     pub pages: Arc<Vec<String>>,
@@ -109,77 +93,116 @@ pub struct Job {
     /// Lifecycle phase.
     pub phase: JobPhase,
     /// The finished run, present once `phase.is_finished()`.
-    pub result: Option<AdaptiveBatch>,
+    pub result: Option<Arc<AdaptiveBatch>>,
 }
 
-/// All jobs the service knows, keyed by id and sharded by a hash of
-/// the id. Ids are dense and monotone; jobs are kept after completion
-/// so results stay queryable for the life of the process (the
-/// work-queue protocol has no expiry).
+/// What a worker needs to run a job it claimed.
+#[derive(Clone, Debug)]
+pub struct Claim {
+    /// The job's id.
+    pub id: u64,
+    /// The submitted pages.
+    pub pages: Arc<Vec<String>>,
+    /// Per-job override of the adaptive retry cap.
+    pub max_retries: Option<usize>,
+    /// The job's cancel token.
+    pub token: CancelToken,
+}
+
+#[derive(Debug, Default)]
+struct Table {
+    /// Every job the service knows. Ids are monotone, so the map's
+    /// order is submission order. Jobs are kept after completion so
+    /// results stay queryable for the life of the process (the
+    /// work-queue protocol has no expiry).
+    jobs: BTreeMap<u64, Job>,
+    /// Ids waiting for a worker, oldest first.
+    queued: VecDeque<u64>,
+    next_id: u64,
+    closed: bool,
+}
+
+/// Every job, and the bounded FIFO queue between the HTTP handlers
+/// (producers) and the worker pool (consumers), behind one lock.
 #[derive(Debug)]
-pub struct JobStore {
-    shards: Box<[Mutex<HashMap<u64, Job>>]>,
-    next_id: AtomicU64,
+pub struct JobTable {
+    table: Mutex<Table>,
+    ready: Condvar,
+    capacity: usize,
 }
 
-impl Default for JobStore {
-    fn default() -> Self {
-        JobStore::with_shards(DEFAULT_SHARDS)
-    }
-}
-
-impl JobStore {
-    /// An empty store with `shards` shards (0 is promoted to 1).
-    pub fn with_shards(shards: usize) -> Self {
-        JobStore {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
-            next_id: AtomicU64::new(0),
+impl JobTable {
+    /// An empty table whose queue holds at most `capacity` waiting
+    /// jobs (`capacity` 0 is promoted to 1 — a queue that can never
+    /// accept would deadlock the service).
+    pub fn new(capacity: usize) -> Self {
+        JobTable {
+            table: Mutex::default(),
+            ready: Condvar::new(),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Number of shards the store was built with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Registers and enqueues a new job, returning its id. `None` when
+    /// the queue is at capacity or the table is closed — the caller
+    /// answers 503 and no job exists. Ids are dense: a refused
+    /// submission takes none.
+    pub fn submit(&self, pages: Vec<String>, max_retries: Option<usize>) -> Option<u64> {
+        let mut table = lock_clean(&self.table);
+        if table.closed || table.queued.len() >= self.capacity {
+            return None;
+        }
+        table.next_id += 1;
+        let id = table.next_id;
+        table.jobs.insert(
+            id,
+            Job {
+                pages: Arc::new(pages),
+                max_retries,
+                token: CancelToken::new(),
+                phase: JobPhase::Queued,
+                result: None,
+            },
+        );
+        table.queued.push_back(id);
+        drop(table);
+        self.ready.notify_one();
+        Some(id)
     }
 
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Job>> {
-        &self.shards[shard_of(id, self.shards.len())]
-    }
-
-    /// Registers a new queued job, returning its id.
-    pub fn create(&self, pages: Vec<String>, max_retries: Option<usize>) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let job = Job {
-            pages: Arc::new(pages),
-            max_retries,
-            token: CancelToken::new(),
-            phase: JobPhase::Queued,
-            result: None,
-        };
-        lock_clean(self.shard(id)).insert(id, job);
-        id
-    }
-
-    /// Runs `f` on the job, if it exists.
-    pub fn with_job<T>(&self, id: u64, f: impl FnOnce(&Job) -> T) -> Option<T> {
-        lock_clean(self.shard(id)).get(&id).map(f)
-    }
-
-    /// Claims the job for a worker: marks it `Running` and hands back
-    /// what the run needs. Returns `None` for an unknown id.
-    pub fn claim(&self, id: u64) -> Option<(Arc<Vec<String>>, Option<usize>, CancelToken)> {
-        let mut jobs = lock_clean(self.shard(id));
-        let job = jobs.get_mut(&id)?;
-        job.phase = JobPhase::Running;
-        Some((Arc::clone(&job.pages), job.max_retries, job.token.clone()))
+    /// Blocks until a job is queued, then claims the oldest: marks it
+    /// `Running` and hands back what the run needs. Returns `None`
+    /// only when the table is closed **and** drained, so every
+    /// accepted job still runs during a graceful shutdown.
+    pub fn claim_next(&self) -> Option<Claim> {
+        let mut table = lock_clean(&self.table);
+        loop {
+            if let Some(id) = table.queued.pop_front() {
+                let job = table.jobs.get_mut(&id).expect("queued ids are in the map");
+                job.phase = JobPhase::Running;
+                return Some(Claim {
+                    id,
+                    pages: Arc::clone(&job.pages),
+                    max_retries: job.max_retries,
+                    token: job.token.clone(),
+                });
+            }
+            if table.closed {
+                return None;
+            }
+            table = self.ready.wait(table).unwrap_or_else(|poisoned| {
+                self.table.clear_poison();
+                poisoned.into_inner()
+            });
+        }
     }
 
     /// Records a finished run. The final phase reads the token, not the
     /// batch: a token fired mid-run settles as `Cancelled` even if
     /// every page had already completed.
     pub fn finish(&self, id: u64, result: AdaptiveBatch) {
-        let mut jobs = lock_clean(self.shard(id));
-        if let Some(job) = jobs.get_mut(&id) {
+        let result = Arc::new(result);
+        if let Some(job) = lock_clean(&self.table).jobs.get_mut(&id) {
             job.phase = if job.token.is_cancelled() {
                 JobPhase::Cancelled
             } else {
@@ -189,304 +212,227 @@ impl JobStore {
         }
     }
 
-    /// Snapshot of every known job as `(id, phase, pages)`, sorted by
-    /// id, for the `/v1/jobs` listing. Ids are dense and monotone, so
-    /// the sort is submission order regardless of shard layout.
-    pub fn list(&self) -> Vec<(u64, JobPhase, usize)> {
-        let mut out: Vec<(u64, JobPhase, usize)> = Vec::new();
-        for shard in self.shards.iter() {
-            let jobs = lock_clean(shard);
-            out.extend(
-                jobs.iter()
-                    .map(|(&id, job)| (id, job.phase, job.pages.len())),
-            );
-        }
-        out.sort_unstable_by_key(|&(id, _, _)| id);
-        out
+    /// A snapshot of the job, if it exists.
+    pub fn get(&self, id: u64) -> Option<Job> {
+        lock_clean(&self.table).jobs.get(&id).cloned()
     }
 
-    /// Forgets a job that was never accepted into the queue (the
-    /// submit path backs out a registration when the queue is full).
-    pub fn remove(&self, id: u64) {
-        lock_clean(self.shard(id)).remove(&id);
+    /// Every known job as `(id, phase, pages)`, in id (submission)
+    /// order, for the `/v1/jobs` listing.
+    pub fn list(&self) -> Vec<(u64, JobPhase, usize)> {
+        lock_clean(&self.table)
+            .jobs
+            .iter()
+            .map(|(&id, job)| (id, job.phase, job.pages.len()))
+            .collect()
     }
 
     /// Fires the job's cancel token. Returns the phase the job was in,
     /// or `None` for an unknown id.
     pub fn cancel(&self, id: u64) -> Option<JobPhase> {
-        let jobs = lock_clean(self.shard(id));
-        jobs.get(&id).map(|job| {
+        lock_clean(&self.table).jobs.get(&id).map(|job| {
             job.token.cancel();
             job.phase
         })
     }
-}
-
-/// The bounded MPMC queue between the HTTP handlers (producers) and
-/// the worker pool (consumers), sharded by the same job-id hash as
-/// the store. Each shard is a `Mutex<VecDeque>` + `Condvar`; a shared
-/// atomic length enforces the global capacity without a global lock.
-///
-/// FIFO is preserved across shards: every push takes a global ticket
-/// and `pop` claims the lowest outstanding ticket, so jobs run in
-/// submission order (exactly, under one consumer; near-exactly under
-/// many — two concurrent pops can swap neighbours, which is
-/// indistinguishable from scheduling anyway).
-#[derive(Debug)]
-pub struct JobQueue {
-    shards: Box<[QueueShard]>,
-    /// Jobs currently queued, across shards.
-    len: AtomicUsize,
-    /// Monotone push ticket, for cross-shard FIFO.
-    ticket: AtomicU64,
-    shutdown: AtomicBool,
-    capacity: usize,
-}
-
-#[derive(Debug, Default)]
-struct QueueShard {
-    ids: Mutex<VecDeque<(u64, u64)>>, // (ticket, job id)
-    ready: Condvar,
-}
-
-/// How long a blocked `pop` waits before rescanning every shard —
-/// bounds the latency of a job pushed to a shard nobody is parked on.
-const POP_RESCAN: Duration = Duration::from_millis(5);
-
-impl JobQueue {
-    /// An empty queue holding at most `capacity` queued jobs across
-    /// [`DEFAULT_SHARDS`] shards (`capacity` 0 is promoted to 1 — a
-    /// queue that can never accept would deadlock the service).
-    pub fn new(capacity: usize) -> Self {
-        JobQueue::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// An empty queue with an explicit shard count.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        JobQueue {
-            shards: (0..shards.max(1)).map(|_| QueueShard::default()).collect(),
-            len: AtomicUsize::new(0),
-            ticket: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues a job id. `Err` when the queue is at capacity or
-    /// shutting down — the caller answers 503 and the job is never
-    /// queued.
-    pub fn push(&self, id: u64) -> Result<(), u64> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(id);
-        }
-        // Reserve a slot against the global bound first; back out on
-        // the race where several producers reserve past the cap.
-        if self.len.fetch_add(1, Ordering::SeqCst) >= self.capacity {
-            self.len.fetch_sub(1, Ordering::SeqCst);
-            return Err(id);
-        }
-        let ticket = self.ticket.fetch_add(1, Ordering::SeqCst);
-        let shard = &self.shards[shard_of(id, self.shards.len())];
-        lock_clean(&shard.ids).push_back((ticket, id));
-        shard.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a job is available or the queue shuts down.
-    /// Returns `None` only when shut down **and** drained, so every
-    /// accepted job is still run during a graceful shutdown.
-    /// `home_shard` is where this consumer parks while idle (workers
-    /// pass their index; any value works).
-    pub fn pop(&self, home_shard: usize) -> Option<u64> {
-        let home = &self.shards[home_shard % self.shards.len()];
-        loop {
-            // Claim the oldest ticket across shards.
-            let mut best: Option<(u64, usize)> = None;
-            for (index, shard) in self.shards.iter().enumerate() {
-                if let Some(&(ticket, _)) = lock_clean(&shard.ids).front() {
-                    if best.is_none_or(|(b, _)| ticket < b) {
-                        best = Some((ticket, index));
-                    }
-                }
-            }
-            if let Some((_, index)) = best {
-                if let Some((_, id)) = lock_clean(&self.shards[index].ids).pop_front() {
-                    self.len.fetch_sub(1, Ordering::SeqCst);
-                    return Some(id);
-                }
-                continue; // lost the race; rescan
-            }
-            if self.shutdown.load(Ordering::SeqCst) && self.len.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            // Park on the home shard; the timeout covers pushes (and
-            // capacity reservations still in flight) on other shards.
-            let guard = lock_clean(&home.ids);
-            let _ = home
-                .ready
-                .wait_timeout(guard, POP_RESCAN)
-                .unwrap_or_else(|poisoned| {
-                    home.ids.clear_poison();
-                    poisoned.into_inner()
-                });
-        }
-    }
 
     /// Stops accepting jobs and wakes every blocked worker. Queued jobs
     /// still drain.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for shard in self.shards.iter() {
-            shard.ready.notify_all();
-        }
-    }
-
-    /// Jobs currently queued.
-    pub fn depth(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+    pub fn close(&self) {
+        lock_clean(&self.table).closed = true;
+        self.ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn store_walks_the_lifecycle() {
-        let store = JobStore::default();
-        let id = store.create(vec!["<form>A</form>".to_string()], Some(1));
-        assert_eq!(store.with_job(id, |j| j.phase), Some(JobPhase::Queued));
-        assert_eq!(store.with_job(id, |j| j.pages.len()), Some(1));
+    fn table_walks_the_lifecycle() {
+        let jobs = JobTable::new(4);
+        let id = jobs
+            .submit(vec!["<form>A</form>".to_string()], Some(1))
+            .expect("accepts");
+        let job = jobs.get(id).expect("job exists");
+        assert_eq!((job.phase, job.pages.len()), (JobPhase::Queued, 1));
 
-        let (pages, retries, token) = store.claim(id).expect("claims");
-        assert_eq!(pages.len(), 1);
-        assert_eq!(retries, Some(1));
-        assert!(!token.is_cancelled());
-        assert_eq!(store.with_job(id, |j| j.phase), Some(JobPhase::Running));
+        let claim = jobs.claim_next().expect("claims");
+        assert_eq!(claim.id, id);
+        assert_eq!(claim.pages.len(), 1);
+        assert_eq!(claim.max_retries, Some(1));
+        assert!(!claim.token.is_cancelled());
+        assert_eq!(jobs.get(id).map(|j| j.phase), Some(JobPhase::Running));
 
-        store.finish(id, AdaptiveBatch::default());
-        assert_eq!(store.with_job(id, |j| j.phase), Some(JobPhase::Done));
-        assert!(store
-            .with_job(id, |j| j.result.is_some())
-            .expect("job exists"));
+        jobs.finish(id, AdaptiveBatch::default());
+        let job = jobs.get(id).expect("job exists");
+        assert_eq!(job.phase, JobPhase::Done);
+        assert!(job.result.is_some());
 
         // Unknown ids are None everywhere.
-        assert!(store.with_job(999, |_| ()).is_none());
-        assert!(store.claim(999).is_none());
-        assert!(store.cancel(999).is_none());
+        assert!(jobs.get(999).is_none());
+        assert!(jobs.cancel(999).is_none());
     }
 
     #[test]
     fn cancel_fires_the_token_and_the_finish_phase_reads_it() {
-        let store = JobStore::default();
-        let id = store.create(vec![], None);
-        let was = store.cancel(id).expect("job exists");
+        let jobs = JobTable::new(4);
+        let id = jobs.submit(vec![], None).expect("accepts");
+        let was = jobs.cancel(id).expect("job exists");
         assert_eq!(was, JobPhase::Queued);
-        let (_, _, token) = store.claim(id).expect("claims");
-        assert!(token.is_cancelled(), "cancel fired the shared token");
-        store.finish(id, AdaptiveBatch::default());
-        assert_eq!(store.with_job(id, |j| j.phase), Some(JobPhase::Cancelled));
+        let claim = jobs.claim_next().expect("claims");
+        assert!(claim.token.is_cancelled(), "cancel fired the shared token");
+        jobs.finish(id, AdaptiveBatch::default());
+        assert_eq!(jobs.get(id).map(|j| j.phase), Some(JobPhase::Cancelled));
         assert!(JobPhase::Cancelled.is_finished());
         assert_eq!(JobPhase::Cancelled.as_str(), "cancelled");
     }
 
     #[test]
-    fn list_is_sorted_by_id_across_shards() {
-        for shards in [1, 2, 8] {
-            let store = JobStore::with_shards(shards);
-            let a = store.create(vec!["<form>a</form>".to_string()], None);
-            let b = store.create(vec![], None);
-            let c = store.create(
+    fn list_is_sorted_by_id() {
+        let jobs = JobTable::new(4);
+        let a = jobs
+            .submit(vec!["<form>a</form>".to_string()], None)
+            .expect("accepts");
+        let b = jobs.submit(vec![], None).expect("accepts");
+        jobs.claim_next();
+        jobs.claim_next();
+        jobs.finish(b, AdaptiveBatch::default());
+        let c = jobs
+            .submit(
                 vec!["<form>c</form>".to_string(), "<form>d</form>".to_string()],
                 None,
-            );
-            store.claim(b);
-            store.claim(c);
-            store.finish(c, AdaptiveBatch::default());
-            let listed = store.list();
-            assert_eq!(
-                listed,
-                vec![
-                    (a, JobPhase::Queued, 1),
-                    (b, JobPhase::Running, 0),
-                    (c, JobPhase::Done, 2),
-                ],
-                "{shards} shards"
-            );
-        }
+            )
+            .expect("accepts");
+        assert_eq!(
+            jobs.list(),
+            vec![
+                (a, JobPhase::Running, 1),
+                (b, JobPhase::Done, 0),
+                (c, JobPhase::Queued, 2),
+            ]
+        );
     }
 
     #[test]
     fn ids_are_dense_and_monotone() {
-        let store = JobStore::default();
-        let a = store.create(vec![], None);
-        let b = store.create(vec![], None);
-        let c = store.create(vec![], None);
+        let jobs = JobTable::new(2);
+        let a = jobs.submit(vec![], None).expect("accepts");
+        let b = jobs.submit(vec![], None).expect("accepts");
+        assert_eq!(jobs.submit(vec![], None), None, "over capacity");
+        jobs.claim_next();
+        let c = jobs.submit(vec![], None).expect("accepts");
         assert!(a < b && b < c);
-        assert_eq!(c - a, 2);
+        assert_eq!(c - a, 2, "a refused submission takes no id");
     }
 
     #[test]
-    fn store_survives_a_panic_under_the_lock() {
-        let store = JobStore::with_shards(1);
-        let id = store.create(vec![], None);
-        // Poison the single shard's mutex.
+    fn table_survives_a_panic_under_the_lock() {
+        let jobs = JobTable::new(4);
+        let id = jobs.submit(vec![], None).expect("accepts");
+        // Poison the one mutex.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            store.with_job(id, |_| panic!("worker bug"))
+            let _guard = jobs.table.lock();
+            panic!("worker bug")
         }));
+        assert!(jobs.table.is_poisoned());
         // Every operation still works.
-        assert_eq!(store.with_job(id, |j| j.phase), Some(JobPhase::Queued));
-        let other = store.create(vec![], None);
-        assert!(store.claim(other).is_some());
-        store.finish(other, AdaptiveBatch::default());
-        assert_eq!(store.with_job(other, |j| j.phase), Some(JobPhase::Done));
-        assert_eq!(store.list().len(), 2);
+        assert_eq!(jobs.get(id).map(|j| j.phase), Some(JobPhase::Queued));
+        let other = jobs.submit(vec![], None).expect("accepts");
+        assert_eq!(jobs.claim_next().map(|c| c.id), Some(id));
+        assert_eq!(jobs.claim_next().map(|c| c.id), Some(other));
+        jobs.finish(other, AdaptiveBatch::default());
+        assert_eq!(jobs.get(other).map(|j| j.phase), Some(JobPhase::Done));
+        assert_eq!(jobs.list().len(), 2);
     }
 
     #[test]
-    fn queue_bounds_accepts_and_drains_on_shutdown() {
-        let q = JobQueue::new(2);
-        assert_eq!(q.push(1), Ok(()));
-        assert_eq!(q.push(2), Ok(()));
-        assert_eq!(q.push(3), Err(3), "over capacity");
-        assert_eq!(q.depth(), 2);
+    fn queue_bounds_accepts_and_drains_on_close() {
+        let jobs = JobTable::new(2);
+        assert_eq!(jobs.submit(vec![], None), Some(1));
+        assert_eq!(jobs.submit(vec![], None), Some(2));
+        assert_eq!(jobs.submit(vec![], None), None, "over capacity");
+        assert!(jobs.get(3).is_none(), "a refused job does not exist");
 
-        q.shutdown();
-        assert_eq!(q.push(4), Err(4), "closed");
-        // Shutdown drains what was accepted, then signals exhaustion.
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), Some(2));
-        assert_eq!(q.pop(0), None);
-        assert_eq!(q.pop(0), None, "stays exhausted");
+        jobs.close();
+        assert_eq!(jobs.submit(vec![], None), None, "closed");
+        // Close drains what was accepted, then signals exhaustion.
+        assert_eq!(jobs.claim_next().map(|c| c.id), Some(1));
+        assert_eq!(jobs.claim_next().map(|c| c.id), Some(2));
+        assert!(jobs.claim_next().is_none());
+        assert!(jobs.claim_next().is_none(), "stays exhausted");
     }
 
     #[test]
-    fn pop_is_fifo_across_shards() {
-        let q = JobQueue::with_shards(64, 8);
-        for id in 1..=32 {
-            q.push(id).expect("accepts");
-        }
-        let order: Vec<u64> = (0..32).map(|i| q.pop(i).expect("has a job")).collect();
-        assert_eq!(order, (1..=32).collect::<Vec<u64>>());
+    fn claims_are_fifo() {
+        let jobs = JobTable::new(64);
+        let ids: Vec<u64> = (0..32)
+            .map(|_| jobs.submit(vec![], None).expect("accepts"))
+            .collect();
+        let order: Vec<u64> = (0..32)
+            .map(|_| jobs.claim_next().expect("has a job").id)
+            .collect();
+        assert_eq!(order, ids);
     }
 
     #[test]
-    fn pop_blocks_until_a_push_arrives() {
-        let q = Arc::new(JobQueue::new(4));
+    fn claim_blocks_until_a_submit_arrives() {
+        let jobs = Arc::new(JobTable::new(4));
         let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop(3))
+            let jobs = Arc::clone(&jobs);
+            std::thread::spawn(move || jobs.claim_next().map(|c| c.id))
         };
         // Give the consumer a moment to block, then feed it.
         std::thread::sleep(Duration::from_millis(20));
-        q.push(7).expect("accepts");
-        assert_eq!(consumer.join().expect("joins"), Some(7));
+        let id = jobs.submit(vec![], None).expect("accepts");
+        assert_eq!(consumer.join().expect("joins"), Some(id));
     }
 
     #[test]
     fn zero_capacity_is_promoted_to_one() {
-        let q = JobQueue::new(0);
-        assert_eq!(q.push(1), Ok(()));
-        assert_eq!(q.push(2), Err(2));
+        let jobs = JobTable::new(0);
+        assert!(jobs.submit(vec![], None).is_some());
+        assert!(jobs.submit(vec![], None).is_none());
+    }
+
+    /// An idle worker wakes as soon as a job is submitted: 64 submits,
+    /// each after a 1 ms pause, reach a consumer blocked in
+    /// `claim_next` in well under 1 ms apiece. A timed rescan in the
+    /// wait (a worker parked somewhere the submit does not notify)
+    /// costs milliseconds per job and fails the bound.
+    #[test]
+    fn an_idle_worker_wakes_on_submit() {
+        const JOBS: usize = 64;
+        let jobs = Arc::new(JobTable::new(JOBS));
+        let consumer = {
+            let jobs = Arc::clone(&jobs);
+            std::thread::spawn(move || {
+                (0..JOBS)
+                    .map(|_| {
+                        jobs.claim_next().expect("a job arrives");
+                        Instant::now()
+                    })
+                    .collect::<Vec<Instant>>()
+            })
+        };
+        let submitted: Vec<Instant> = (0..JOBS)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(1));
+                let at = Instant::now();
+                jobs.submit(vec![], None).expect("accepts");
+                at
+            })
+            .collect();
+        let claimed = consumer.join().expect("joins");
+        let total: Duration = submitted
+            .iter()
+            .zip(&claimed)
+            .map(|(&s, &c)| c.saturating_duration_since(s))
+            .sum();
+        assert!(
+            total < Duration::from_millis(JOBS as u64),
+            "{JOBS} handoffs took {total:?} in sum"
+        );
     }
 }

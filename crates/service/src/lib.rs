@@ -27,18 +27,18 @@
 //!
 //! Connections are persistent: HTTP/1.1 requests on one connection
 //! are served sequentially with keep-alive, each connection on its own
-//! handler thread, and the job store/queue behind the handlers are
-//! sharded by job-id hash — see `DESIGN.md` §5.9. A Unix-socket
-//! line-delimited-JSON daemon mode ([`daemon`]) serves co-located
-//! callers over the same routing table.
+//! handler thread, and one job table behind one lock holds every job
+//! and the queue feeding the workers — see `DESIGN.md` §5.9. A
+//! Unix-socket line-delimited-JSON daemon mode ([`daemon`]) serves
+//! co-located callers over the same routing table.
 //!
 //! Module map: [`http`] (hand-rolled wire parsing with hard limits and
-//! keep-alive), [`json`] (request-body parsing and escaping), [`jobs`]
-//! (the `Queued → Running → Done | Cancelled` state machine and the
-//! sharded bounded queue), [`server`] (routing, worker pool, accept
-//! loop), [`daemon`] (the Unix-socket listener), [`error`] (the
-//! per-page `ExtractError → HTTP status` mapping), [`metrics`] (the
-//! striped counter block).
+//! keep-alive), [`json`] (request-body parsing over the workspace JSON
+//! codec), [`jobs`] (the `Queued → Running → Done | Cancelled` state
+//! machine and the bounded queue, in one table), [`server`] (routing,
+//! worker pool, accept loop), [`daemon`] (the Unix-socket listener),
+//! [`error`] (the per-page `ExtractError → HTTP status` mapping),
+//! [`metrics`] (the striped counter block).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +53,7 @@ pub mod server;
 
 pub use error::status_for;
 pub use http::{read_request, Request, RequestError, RequestReader, Response, MAX_HEAD_BYTES};
-pub use jobs::{Job, JobPhase, JobQueue, JobStore};
+pub use jobs::{Claim, Job, JobPhase, JobTable};
 pub use json::{
     parse_batch_request, parse_budget_update, push_json_str, BatchRequest, BudgetUpdate, JsonValue,
 };

@@ -5,11 +5,11 @@
 //!
 //! ```text
 //! accept loop ──▶ connection thread (×conn) ──▶ route (per request)
-//!                   POST /v1/batches ──▶ JobStore::create ─▶ JobQueue
-//!                                          (sharded)      (sharded)  │
-//!                 pool worker (×N) ◀── JobQueue::pop ◀───────────────┘
+//!                   POST /v1/batches ──▶ JobTable::submit ─────┐
+//!                                          (one lock)          │
+//!                 pool worker (×N) ◀── JobTable::claim_next ◀──┘
 //!                   └─▶ extractor.cancel_token(job).extract_batch_adaptive
-//!                         └─▶ JobStore::finish (Done | Cancelled)
+//!                         └─▶ JobTable::finish (Done | Cancelled)
 //! ```
 //!
 //! Every accepted connection gets its own handler thread, which
@@ -27,7 +27,7 @@
 
 use crate::error::status_for;
 use crate::http::{Request, RequestError, RequestReader, Response};
-use crate::jobs::{JobQueue, JobStore};
+use crate::jobs::{Claim, JobTable};
 use crate::json::{parse_batch_request, parse_budget_update, push_json_str};
 use crate::metrics::Metrics;
 use metaform_datasets::BudgetPreset;
@@ -62,9 +62,6 @@ pub struct ServiceConfig {
     pub batch_workers: Option<usize>,
     /// Jobs the queue holds before submissions answer 503.
     pub queue_capacity: usize,
-    /// Shards for the job store and queue (default
-    /// [`crate::jobs::DEFAULT_SHARDS`]).
-    pub shards: usize,
     /// Default adaptive retry rounds (a submission's `max_retries`
     /// field overrides per job).
     pub max_retries: usize,
@@ -109,7 +106,6 @@ impl Default for ServiceConfig {
             pool_workers: 2,
             batch_workers: None,
             queue_capacity: 64,
-            shards: crate::jobs::DEFAULT_SHARDS,
             max_retries: 2,
             budget_growth: 2,
             max_instances: None,
@@ -287,10 +283,9 @@ pub struct ServiceState {
     /// The compile-once engine; cloned per job to attach that job's
     /// cancel token (clones share the one compiled grammar).
     pub extractor: FormExtractor,
-    /// All jobs, by id, sharded by id hash.
-    pub store: JobStore,
-    /// The bounded sharded queue between handlers and pool workers.
-    pub queue: JobQueue,
+    /// Every job, and the bounded queue between handlers and pool
+    /// workers.
+    pub jobs: JobTable,
     /// The `/metrics` counter block.
     pub metrics: Metrics,
     /// Configuration the state was built from.
@@ -311,7 +306,7 @@ pub struct ServiceState {
 
 impl ServiceState {
     /// Builds the shared state: one extractor configured per `config`
-    /// (grammar compiled once, here), an empty store, an empty queue.
+    /// (grammar compiled once, here) and an empty job table.
     /// The extractor carries a process-wide parse cache, so a page
     /// resubmitted unchanged in a later job replays the earlier
     /// visit's report (the per-job extractor clones share it); any
@@ -333,8 +328,7 @@ impl ServiceState {
         let budgets = Mutex::new(BudgetControl::from_config(&config));
         ServiceState {
             extractor,
-            store: JobStore::with_shards(config.shards),
-            queue: JobQueue::with_shards(config.queue_capacity, config.shards),
+            jobs: JobTable::new(config.queue_capacity),
             metrics: Metrics::default(),
             config,
             budgets,
@@ -352,26 +346,29 @@ impl ServiceState {
     /// drain, workers exit once the queue is empty.
     pub fn begin_shutdown(&self) {
         self.stopping.store(true, Ordering::Relaxed);
-        self.queue.shutdown();
+        self.jobs.close();
     }
 
-    /// One pool worker: claim, extract, settle — until the queue shuts
-    /// down and drains. `worker` is the worker's index, used as its
-    /// home queue shard.
-    pub fn work_loop(&self, worker: usize) {
-        while let Some(id) = self.queue.pop(worker) {
+    /// One pool worker: claim, extract, settle — until the table
+    /// closes and drains. The worker index is unused: every worker
+    /// waits on the same queue.
+    pub fn work_loop(&self, _worker: usize) {
+        while let Some(job) = self.jobs.claim_next() {
             self.metrics.queue_depth.dec();
-            self.run_job(id);
+            self.run_job(job);
         }
     }
 
     /// Runs one claimed job to completion and records the result. The
     /// job runs under the control plane's *current* budgets (not the
     /// boot configuration), and its outcome feeds the next refit.
-    pub fn run_job(&self, id: u64) {
-        let Some((pages, max_retries, token)) = self.store.claim(id) else {
-            return;
-        };
+    pub fn run_job(&self, job: Claim) {
+        let Claim {
+            id,
+            pages,
+            max_retries,
+            token,
+        } = job;
         let (cap, deadline_ms, growth) = {
             let control = self.budgets.lock().expect("budget lock");
             (control.max_instances, control.deadline_ms, control.growth)
@@ -471,7 +468,7 @@ impl ServiceState {
             .pages_cache_miss
             .add(batch.stats.cache_misses as u64);
         self.metrics.jobs_completed.bump();
-        self.store.finish(id, batch);
+        self.jobs.finish(id, batch);
     }
 }
 
@@ -579,12 +576,10 @@ fn submit(state: &ServiceState, request: &Request) -> Response {
     };
     let pages = batch.pages.len();
     let revisit_hints = batch.revisit_hints;
-    let id = state.store.create(batch.pages, batch.max_retries);
-    if state.queue.push(id).is_err() {
-        state.store.remove(id);
+    let Some(id) = state.jobs.submit(batch.pages, batch.max_retries) else {
         state.metrics.jobs_rejected.bump();
         return Response::json(503, error_body("job queue is full"));
-    }
+    };
     state.metrics.jobs_submitted.bump();
     state.metrics.pages_submitted.add(pages as u64);
     state.metrics.revisit_hints.add(revisit_hints);
@@ -635,7 +630,7 @@ fn budgets_post(state: &ServiceState, request: &Request) -> Response {
 /// id (submission order), finished jobs included. The deterministic
 /// order makes the listing diffable across polls.
 fn job_list(state: &ServiceState) -> Response {
-    let jobs = state.store.list();
+    let jobs = state.jobs.list();
     let mut out = format!("{{\"count\": {}, \"jobs\": [", jobs.len());
     for (index, (id, phase, pages)) in jobs.iter().enumerate() {
         if index > 0 {
@@ -671,23 +666,20 @@ fn batch_endpoint(state: &ServiceState, method: &str, rest: &str) -> Response {
 
 /// `GET /v1/batches/{id}`: phase + stats (stats null until finished).
 fn job_status(state: &ServiceState, id: u64) -> Response {
-    let body = state.store.with_job(id, |job| {
-        let mut out = format!(
-            "{{\"job\": {id}, \"state\": \"{}\", \"pages\": {}, \"stats\": ",
-            job.phase.as_str(),
-            job.pages.len()
-        );
-        match &job.result {
-            Some(batch) => out.push_str(&stats_to_json(&batch.stats)),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    });
-    match body {
-        Some(body) => Response::json(200, body),
-        None => Response::json(404, error_body("no such job")),
+    let Some(job) = state.jobs.get(id) else {
+        return Response::json(404, error_body("no such job"));
+    };
+    let mut out = format!(
+        "{{\"job\": {id}, \"state\": \"{}\", \"pages\": {}, \"stats\": ",
+        job.phase.as_str(),
+        job.pages.len()
+    );
+    match &job.result {
+        Some(batch) => out.push_str(&stats_to_json(&batch.stats)),
+        None => out.push_str("null"),
     }
+    out.push('}');
+    Response::json(200, out)
 }
 
 /// `DELETE /v1/batches/{id}`: fires the job's cancel token. The job is
@@ -695,7 +687,7 @@ fn job_status(state: &ServiceState, id: u64) -> Response {
 /// against a fired token is the engine's all-cancelled fast path) and
 /// its results stay queryable, marked `cancelled`.
 fn job_cancel(state: &ServiceState, id: u64) -> Response {
-    match state.store.cancel(id) {
+    match state.jobs.cancel(id) {
         Some(phase) => {
             state.metrics.jobs_cancelled.bump();
             Response::json(
@@ -717,68 +709,64 @@ fn job_cancel(state: &ServiceState, id: u64) -> Response {
 /// feed it straight back to `failures_from_json`. Large documents
 /// stream chunked (see [`Response::write_to`]).
 fn job_results(state: &ServiceState, id: u64) -> Response {
-    let body = state.store.with_job(id, |job| {
-        let Some(batch) = &job.result else {
-            return Err(job.phase);
-        };
-        let status_by_page: HashMap<usize, ErrorKind> = batch
-            .failures
-            .iter()
-            .filter(|f| f.outcome != metaform_extractor::FailureOutcome::Recovered)
-            .map(|f| (f.page_index, f.error))
-            .collect();
-        let salvage_by_page: HashMap<usize, (usize, usize)> = batch
-            .failures
-            .iter()
-            .filter_map(|f| Some((f.page_index, (f.salvage_covered?, f.salvage_tokens?))))
-            .collect();
-        let mut out = format!(
-            "{{\"job\": {id}, \"state\": \"{}\", \"stats\": {}, \"reports\": [",
-            job.phase.as_str(),
-            stats_to_json(&batch.stats)
-        );
-        for (index, extraction) in batch.extractions.iter().enumerate() {
-            if index > 0 {
-                out.push_str(", ");
-            }
-            let via = match extraction.via {
-                Provenance::Grammar => "grammar",
-                Provenance::PartialSalvage => "salvage",
-                Provenance::BaselineFallback => "baseline",
-                Provenance::CacheHit => "cache_hit",
-            };
-            let http_status = status_by_page
-                .get(&index)
-                .map_or(200, |&kind| status_for(kind));
-            out.push_str(&format!(
-                "{{\"page_index\": {index}, \"via\": \"{via}\", \"http_status\": {http_status}, "
-            ));
-            // Salvaged pages carry their coverage ratio: conditions'
-            // claimed tokens over the page's token count.
-            if let Some(&(covered, tokens)) = salvage_by_page.get(&index) {
-                out.push_str(&format!(
-                    "\"salvage_covered\": {covered}, \"salvage_tokens\": {tokens}, "
-                ));
-            }
-            out.push_str("\"report\": ");
-            push_json_str(&mut out, &extraction.report.to_string());
-            out.push('}');
-        }
-        out.push_str("], \"failures\": ");
-        // Verbatim telemetry output, minus its trailing newline — the
-        // document's closing brace follows immediately.
-        out.push_str(failures_to_json(&batch.failures).trim_end());
-        out.push('}');
-        Ok(out)
-    });
-    match body {
-        None => Response::json(404, error_body("no such job")),
-        Some(Err(phase)) => Response::json(
+    let Some(job) = state.jobs.get(id) else {
+        return Response::json(404, error_body("no such job"));
+    };
+    let Some(batch) = &job.result else {
+        return Response::json(
             409,
-            error_body(&format!("job is {}, results not ready", phase.as_str())),
-        ),
-        Some(Ok(body)) => Response::json(200, body),
+            error_body(&format!("job is {}, results not ready", job.phase.as_str())),
+        );
+    };
+    let status_by_page: HashMap<usize, ErrorKind> = batch
+        .failures
+        .iter()
+        .filter(|f| f.outcome != metaform_extractor::FailureOutcome::Recovered)
+        .map(|f| (f.page_index, f.error))
+        .collect();
+    let salvage_by_page: HashMap<usize, (usize, usize)> = batch
+        .failures
+        .iter()
+        .filter_map(|f| Some((f.page_index, (f.salvage_covered?, f.salvage_tokens?))))
+        .collect();
+    let mut out = format!(
+        "{{\"job\": {id}, \"state\": \"{}\", \"stats\": {}, \"reports\": [",
+        job.phase.as_str(),
+        stats_to_json(&batch.stats)
+    );
+    for (index, extraction) in batch.extractions.iter().enumerate() {
+        if index > 0 {
+            out.push_str(", ");
+        }
+        let via = match extraction.via {
+            Provenance::Grammar => "grammar",
+            Provenance::PartialSalvage => "salvage",
+            Provenance::BaselineFallback => "baseline",
+            Provenance::CacheHit => "cache_hit",
+        };
+        let http_status = status_by_page
+            .get(&index)
+            .map_or(200, |&kind| status_for(kind));
+        out.push_str(&format!(
+            "{{\"page_index\": {index}, \"via\": \"{via}\", \"http_status\": {http_status}, "
+        ));
+        // Salvaged pages carry their coverage ratio: conditions'
+        // claimed tokens over the page's token count.
+        if let Some(&(covered, tokens)) = salvage_by_page.get(&index) {
+            out.push_str(&format!(
+                "\"salvage_covered\": {covered}, \"salvage_tokens\": {tokens}, "
+            ));
+        }
+        out.push_str("\"report\": ");
+        push_json_str(&mut out, &extraction.report.to_string());
+        out.push('}');
     }
+    out.push_str("], \"failures\": ");
+    // Verbatim telemetry output, minus its trailing newline — the
+    // document's closing brace follows immediately.
+    out.push_str(failures_to_json(&batch.failures).trim_end());
+    out.push('}');
+    Response::json(200, out)
 }
 
 /// A bound, not-yet-serving instance of `metaformd`.
@@ -868,7 +856,7 @@ impl Server {
                 }
             }
         }
-        self.state.queue.shutdown();
+        self.state.jobs.close();
         for worker in workers {
             let _ = worker.join();
         }
@@ -1051,8 +1039,8 @@ mod tests {
         assert_eq!(status, 409);
 
         // Run the queued job the way a pool worker would.
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
 
         let (status, body) = send(&state, b"GET /v1/batches/1 HTTP/1.1\r\n\r\n");
         assert_eq!(status, 200);
@@ -1088,8 +1076,8 @@ mod tests {
         let page = r#"["<form>A <input type=text name=a></form>"]"#;
         assert_eq!(send(&state, &post_batch(page)).0, 202);
         assert_eq!(send(&state, &post_batch("[]")).0, 202);
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
 
         let (status, body) = send(&state, b"GET /v1/jobs HTTP/1.1\r\n\r\n");
         assert_eq!(status, 200);
@@ -1110,15 +1098,15 @@ mod tests {
 
         // First visit: a miss that populates the cache.
         assert_eq!(send(&state, &post_batch(&format!("[\"{page}\"]"))).0, 202);
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
         let (_, first) = send(&state, b"GET /v1/batches/1/results HTTP/1.1\r\n\r\n");
         assert!(first.contains("\"via\": \"grammar\""), "{first}");
 
         // Second visit, flagged revisit: served from the cache.
         assert_eq!(send(&state, &post_batch(&format!("[{entry}]"))).0, 202);
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
         let (status, second) = send(&state, b"GET /v1/batches/2/results HTTP/1.1\r\n\r\n");
         assert_eq!(status, 200);
         assert!(second.contains("\"via\": \"cache_hit\""), "{second}");
@@ -1160,8 +1148,8 @@ mod tests {
         assert!(body.contains("\"cancel\": \"requested\""), "{body}");
 
         // The worker still runs it — against the fired token.
-        let id = state.queue.pop(0).expect("still queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("still queued");
+        state.run_job(job);
         let (_, body) = send(&state, b"GET /v1/batches/1 HTTP/1.1\r\n\r\n");
         assert!(body.contains("\"state\": \"cancelled\""), "{body}");
         let (status, body) = send(&state, b"GET /v1/batches/1/results HTTP/1.1\r\n\r\n");
@@ -1217,8 +1205,8 @@ mod tests {
         });
         let page = r#"["<form>Author <input type=text name=q><input type=submit value=S></form>"]"#;
         assert_eq!(send(&state, &post_batch(page)).0, 202);
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
         assert_eq!(state.metrics.budget_refits.value(), 1);
         let (_, body) = send(&state, b"GET /v1/budgets HTTP/1.1\r\n\r\n");
         assert!(body.contains("\"refits\": 1"), "{body}");
@@ -1249,8 +1237,8 @@ mod tests {
         }
         pages.push(']');
         assert_eq!(send(&state, &post_batch(&pages)).0, 202);
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
 
         assert_eq!(state.metrics.grammar_inductions.value(), 1);
         assert!(
@@ -1285,8 +1273,8 @@ mod tests {
         // finds nothing new to accept.
         let page = r#"["<form>Author <input type=text name=q><input type=submit value=S></form>"]"#;
         assert_eq!(send(&state, &post_batch(page)).0, 202);
-        let id = state.queue.pop(0).expect("queued");
-        state.run_job(id);
+        let job = state.jobs.claim_next().expect("queued");
+        state.run_job(job);
         assert_eq!(state.metrics.grammar_inductions.value(), 2);
         let control = state.induction.lock().expect("induction lock");
         let live = control.live_grammar().expect("override persists");
@@ -1317,6 +1305,9 @@ mod tests {
         assert_eq!(status, 202);
         assert!(body.contains("draining"), "{body}");
         assert!(state.is_stopping());
-        assert_eq!(state.queue.pop(0), None, "queue is shut down and empty");
+        assert!(
+            state.jobs.claim_next().is_none(),
+            "the table is closed and empty"
+        );
     }
 }

@@ -8,11 +8,12 @@
 //!    that JSON verbatim, so the wire form must be an exact codec, not
 //!    a best-effort printer.
 //!
-//! 2. **The hand-rolled HTTP parser never panics.** Arbitrary bytes,
+//! 2. **The hand-rolled parsers never panic.** Arbitrary bytes,
 //!    truncated-valid requests, oversized heads and bodies: the
 //!    server answers a well-formed 4xx (or closes silently on an empty
 //!    connection) and `handle_connection` never unwinds — asserted
-//!    with an explicit `catch_unwind` boundary around every case.
+//!    with an explicit `catch_unwind` boundary around every case. The
+//!    same arbitrary bytes also go through the telemetry parsers.
 
 use metaform_extractor::telemetry::{
     failures_from_json, failures_to_json, stats_from_json, stats_to_json, AttemptRecord,
@@ -245,6 +246,12 @@ fn valid_submission() -> Vec<u8> {
 proptest! {
     #[test]
     fn arbitrary_bytes_never_panic_the_server(raw in vec(0u8..255, 0..2048)) {
+        let text = String::from_utf8_lossy(&raw);
+        let telemetry = catch_unwind(|| {
+            let _ = failures_from_json(&text);
+            let _ = stats_from_json(&text);
+        });
+        prop_assert!(telemetry.is_ok(), "the telemetry parsers must never panic");
         let response = serve(raw);
         if !response.is_empty() {
             let text = String::from_utf8_lossy(&response);

@@ -72,6 +72,12 @@ test "$(grep -rl 'CompiledGrammar::build' crates src | grep -v 'crates/grammar/s
 test "$(grep -rn '\.compile()' crates/service/src | wc -l)" = 0
 grep -q 'RejectReason::CompileError' crates/eval/src/induction.rs
 
+echo "==> JSON codec gate (one JSON value parser in the workspace)"
+# metaform_extractor::json is the only JSON value parser: telemetry and
+# the service both parse through it. The grammar DSL reader
+# (dsl.rs) skips whitespace too, but it reads .2pg files, not JSON.
+test "$(grep -rl 'fn skip_ws' crates src | grep -v 'crates/grammar/src/dsl.rs')" = crates/extractor/src/json.rs
+
 echo "==> bench_revisit smoke (exact hits replay; parity asserted inside)"
 cargo run --release -q -p metaform-bench --bin bench_revisit -- "$tmp/BENCH_revisit.json" > /dev/null
 grep -q '"exact_hit_speedup"' "$tmp/BENCH_revisit.json"
